@@ -10,7 +10,8 @@ The package is organised by layer:
 * :mod:`~binomial_moments.sigma`      -- complete symmetric functions in three
   independently implemented forms;
 * :mod:`~binomial_moments.moments`    -- the moment families with oracle,
-  closed-form, and printed-formula routes;
+  closed-form, and printed-formula routes; the printed formulas themselves,
+  one table of ansatz-plus-coefficient records;
 * :mod:`~binomial_moments.conjecture` -- exact ansatz fitting: rediscovers the
   printed formulas from oracle data and searches the open even-D case;
 * :mod:`~binomial_moments.verify`     -- the invariant suite behind
@@ -34,7 +35,6 @@ from .moments import (
 from .series import (
     Polynomial,
     TruncatedSeries,
-    coefficient,
     geometric,
     poly_interpolate,
     series_mul,
@@ -52,7 +52,6 @@ __all__ = [
     "bracket",
     "central_binomial",
     "closed_form",
-    "coefficient",
     "corollary_value",
     "errors",
     "evaluate",

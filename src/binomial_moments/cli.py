@@ -1,59 +1,39 @@
 """Command line surface: evaluate, verify, discover, tabulate.
 
+A thin layer over the library: ``moments`` says what the formulas are
+(including the printed-formula table and its LaTeX), ``conjecture`` fits
+them, ``verify`` checks them; this module parses arguments, validates
+them and renders the results.
+
 Exit codes are stable: 0 success, 1 verification mismatch, 2 usage
-error, 3 no closed form known.  Results go to stdout (or ``--out``),
-diagnostics to stderr.  Every number printed is an exact rational
-string ``p/q`` (``q`` omitted when 1).  The ``--jobs`` flag (or the
-``MOMENTS_JOBS`` variable) is a parallelism hint only; output is always
-sorted by (family, m, n) and identical for identical config and seed.
+error (including an unwritable ``--out``), 3 no closed form known.
+Results go to stdout (or ``--out``), diagnostics to stderr.  Every
+number printed is an exact rational string ``p/q`` (``q`` omitted when
+1).  Output is always sorted by (family, m, n) and identical for
+identical config and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .conjecture import (
-    SearchConfig,
-    explore_D_even,
-    family_ansatz,
-    fit,
-    fitting_nodes,
-    printed_forms,
-    search_catalogue,
-)
+from .conjecture import SearchConfig, explore_D_even, fit, fitting_nodes, search_catalogue
 from .errors import MomentsError, NoClosedFormKnown
-from .moments import COROLLARIES, FAMILIES, METHODS, EvalResult, MomentQuery, evaluate
+from .moments import (
+    COROLLARIES,
+    FAMILIES,
+    METHODS,
+    EvalResult,
+    MomentQuery,
+    evaluate,
+    family_ansatz,
+)
 from .verify import VerifyConfig, run_verification
 
 FORMATS = ("json", "csv", "latex", "markdown")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated grid/run options shared by the table and verify commands."""
-
-    families: tuple[str, ...] = FAMILIES
-    m_max: int = 8
-    n_max: int = 30
-    methods: tuple[str, ...] = METHODS
-    format: str = "csv"
-    jobs: int = 1
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.families or any(f not in FAMILIES for f in self.families):
-            raise MomentsError(f"families must be a nonempty subset of {FAMILIES}")
-        if not self.methods or any(m not in METHODS for m in self.methods):
-            raise MomentsError(f"methods must be a nonempty subset of {METHODS}")
-        if self.format not in FORMATS:
-            raise MomentsError(f"format must be one of {FORMATS}")
-        if self.m_max < 0 or self.n_max < 1 or self.jobs < 1:
-            raise MomentsError("require m_max >= 0, n_max >= 1, jobs >= 1")
 
 
 def _parse_families(text: str) -> tuple[str, ...]:
@@ -62,6 +42,8 @@ def _parse_families(text: str) -> tuple[str, ...]:
     unknown = set(raw) - set(FAMILIES)
     if unknown:
         raise MomentsError(f"unknown families: {sorted(unknown)}")
+    if not fams:
+        raise MomentsError(f"families must be a nonempty subset of {FAMILIES}")
     return fams
 
 
@@ -71,25 +53,20 @@ def _parse_methods(text: str) -> tuple[str, ...]:
     unknown = set(raw) - set(METHODS)
     if unknown:
         raise MomentsError(f"unknown methods: {sorted(unknown)}")
+    if not meths:
+        raise MomentsError(f"methods must be a nonempty subset of {METHODS}")
     return meths
-
-
-def _jobs(args: argparse.Namespace) -> int:
-    env = os.environ.get("MOMENTS_JOBS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise MomentsError(f"MOMENTS_JOBS must be an integer, got {env!r}") from None
-    return args.jobs
 
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            raise MomentsError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
         print(text)
 
@@ -115,15 +92,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    run = RunConfig(
-        families=_parse_families(args.families),
-        m_max=args.m_max,
-        n_max=args.n_max,
-        jobs=_jobs(args),
-        seed=args.seed,
-        format="json",
-    )
-    config = VerifyConfig(run.families, run.m_max, run.n_max, run.seed)
+    config = VerifyConfig(_parse_families(args.families), args.m_max, args.n_max, args.seed)
     report = run_verification(config)
     _emit(json.dumps(report.to_dict(), indent=2), args.out)
     if not report.all_pass:
@@ -168,7 +137,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
         _emit(json.dumps(payload, indent=2), args.out)
         return 0
 
-    printed = {(pf.family, pf.power): pf for pf in printed_forms()}.get((family, power))
+    printed = COROLLARIES.get((family, power))
     ansatz = printed.ansatz if printed else family_ansatz(family, parity, t)
     samples, hold = fitting_nodes(power, ansatz, args.holdout, args.n_start)
     candidate = fit(family, power, ansatz, samples, hold)
@@ -194,17 +163,19 @@ def cmd_discover(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _table_cells(run: RunConfig) -> list[tuple[str, int, int, dict[str, EvalResult]]]:
+def _table_cells(
+    families: tuple[str, ...], methods: tuple[str, ...], m_max: int, n_max: int
+) -> list[tuple[str, int, int, dict[str, EvalResult]]]:
     """(family, m, n, per-method results) for cells where every requested
     method is defined; the exact values necessarily agree."""
     cells = []
-    for family in run.families:
-        for m in range(0, run.m_max + 1):
-            for n in range(1, run.n_max + 1):
+    for family in families:
+        for m in range(0, m_max + 1):
+            for n in range(1, n_max + 1):
                 q = MomentQuery(family, m, n)
                 results: dict[str, EvalResult] = {}
                 try:
-                    for method in run.methods:
+                    for method in methods:
                         results[method] = evaluate(q, method)
                 except MomentsError:
                     continue
@@ -215,11 +186,11 @@ def _table_cells(run: RunConfig) -> list[tuple[str, int, int, dict[str, EvalResu
     return cells
 
 
-def _render_values(run: RunConfig, cells) -> str:
-    if run.format == "json":
+def _render_values(fmt: str, families: tuple[str, ...], methods: tuple[str, ...], cells) -> str:
+    if fmt == "json":
         records = []
         for family, m, n, results in cells:
-            for method in run.methods:
+            for method in methods:
                 r = results[method]
                 records.append(
                     {
@@ -232,19 +203,19 @@ def _render_values(run: RunConfig, cells) -> str:
                     }
                 )
         return json.dumps(records, indent=2)
-    if run.format == "csv":
+    if fmt == "csv":
         lines = ["family,m,n,value"]
         for family, m, n, results in cells:
-            lines.append(f"{family},{m},{n},{results[run.methods[0]].value}")
+            lines.append(f"{family},{m},{n},{results[methods[0]].value}")
         return "\n".join(lines)
-    if run.format == "markdown":
+    if fmt == "markdown":
         lines = ["| family | m | n | value |", "| --- | --- | --- | --- |"]
         for family, m, n, results in cells:
-            lines.append(f"| {family} | {m} | {n} | {results[run.methods[0]].value} |")
+            lines.append(f"| {family} | {m} | {n} | {results[methods[0]].value} |")
         return "\n".join(lines)
     # latex: one tabular per family
     blocks = []
-    for family in run.families:
+    for family in families:
         rows = [c for c in cells if c[0] == family]
         if not rows:
             continue
@@ -254,36 +225,36 @@ def _render_values(run: RunConfig, cells) -> str:
             r"$m$ & $n$ & value \\ \hline",
         ]
         for _, m, n, results in rows:
-            lines.append(f"{m} & {n} & ${results[run.methods[0]].value}$ " + r"\\")
+            lines.append(f"{m} & {n} & ${results[methods[0]].value}$ " + r"\\")
         lines.append(r"\end{tabular}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks)
 
 
-def _render_corollaries(run: RunConfig) -> str:
+def _render_corollaries(fmt: str, families: tuple[str, ...], m_max: int) -> str:
     entries = [
         (family, m, e)
         for (family, m), e in sorted(COROLLARIES.items())
-        if family in run.families and m <= run.m_max
+        if family in families and m <= m_max
     ]
-    if run.format == "json":
+    if fmt == "json":
         records = [
-            {"family": family, "m": m, "min_n": e.min_n, "formula": e.formula}
+            {"family": family, "m": m, "min_n": e.min_n, "formula": e.latex()}
             for family, m, e in entries
         ]
         return json.dumps(records, indent=2)
-    if run.format == "csv":
+    if fmt == "csv":
         lines = ["family,m,min_n,formula"]
         for family, m, e in entries:
-            lines.append(f'{family},{m},{e.min_n},"{e.formula}"')
+            lines.append(f'{family},{m},{e.min_n},"{e.latex()}"')
         return "\n".join(lines)
-    if run.format == "markdown":
+    if fmt == "markdown":
         lines = ["| family | m | min n | formula |", "| --- | --- | --- | --- |"]
         for family, m, e in entries:
-            lines.append(f"| {family} | {m} | {e.min_n} | `{e.formula}` |")
+            lines.append(f"| {family} | {m} | {e.min_n} | `{e.latex()}` |")
         return "\n".join(lines)
     blocks = []
-    for family in run.families:
+    for family in families:
         rows = [(m, e) for fam, m, e in entries if fam == family]
         if not rows:
             continue
@@ -294,26 +265,22 @@ def _render_corollaries(run: RunConfig) -> str:
         ]
         for m, e in rows:
             guard = f"$n \\ge {e.min_n}$" if e.min_n > 1 else "--"
-            lines.append(f"{m} & {guard} & ${e.formula}$ " + r"\\")
+            lines.append(f"{m} & {guard} & ${e.latex()}$ " + r"\\")
         lines.append(r"\end{tabular}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks)
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    run = RunConfig(
-        families=_parse_families(args.families),
-        m_max=args.m_max,
-        n_max=args.n_max,
-        methods=_parse_methods(args.methods),
-        format=args.format,
-        jobs=_jobs(args),
-        seed=args.seed,
-    )
+    families = _parse_families(args.families)
+    methods = _parse_methods(args.methods)
+    if args.m_max < 0 or args.n_max < 1:
+        raise MomentsError(f"require m_max >= 0 and n_max >= 1, got {args.m_max}, {args.n_max}")
     if args.corollaries:
-        _emit(_render_corollaries(run), args.out)
+        _emit(_render_corollaries(args.format, families, args.m_max), args.out)
     else:
-        _emit(_render_values(run, _table_cells(run)), args.out)
+        cells = _table_cells(families, methods, args.m_max, args.n_max)
+        _emit(_render_values(args.format, families, methods, cells), args.out)
     return 0
 
 
@@ -344,7 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--m-max", type=int, default=8)
     p_verify.add_argument("--n-max", type=int, default=30)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--jobs", type=int, default=1, help="parallelism hint")
     p_verify.add_argument("--out", help="write the JSON report to this file")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -368,8 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument(
         "--corollaries", action="store_true", help="emit the printed-formula table"
     )
-    p_table.add_argument("--seed", type=int, default=0)
-    p_table.add_argument("--jobs", type=int, default=1, help="parallelism hint")
     p_table.add_argument("--out", help="write the table to this file")
     p_table.set_defaults(func=cmd_table)
 

@@ -1,23 +1,26 @@
-"""Exact ansatz fitting over the rationals.
+"""Exact ansatz fitting over the rationals: how closed forms are fitted.
 
-A candidate closed form is a sum of up to three terms, each
+What a candidate looks like -- an ``Ansatz``, a sum of up to three terms,
+each
 
     prefactor(n) * (polynomial in n of bounded degree) / (product of linear forms),
 
 with prefactor drawn from the structural vocabulary of the printed
-formulas: the central binomial C(2n,n), the central bracket [2n,n], a
-power 2^(2n+c), the sign (-1)^n, or 1.  The unknown polynomial
-coefficients are linear, so they are determined exactly from oracle
-samples by rational Gaussian elimination and then checked on holdout
-points disjoint from the fit.  A candidate is only ``verified`` when
-every holdout point matches exactly; with no holdout it can only be
-``underdetermined``.
+formulas (the central binomial C(2n,n), the central bracket [2n,n], a
+power 2^(2n+c), the sign (-1)^n, or 1) -- is defined in ``moments``,
+next to the printed formulas themselves.  This module fits it: the
+unknown polynomial coefficients are linear, so they are determined
+exactly from oracle samples by rational Gaussian elimination and then
+checked on holdout points disjoint from the fit.  A candidate is only
+``verified`` when every holdout point matches exactly; with no holdout
+it can only be ``underdetermined``.
 
-``rediscover_all`` refits every printed simplified formula from oracle
-data alone and compares the recovered coefficients with the printed
-ones.  ``explore_D_even`` runs the same machinery over a finite ansatz
-catalogue for the even-power D sums, where no closed form is known; it
-reports honest statuses and never fabricates a result.
+``rediscover_all`` refits every printed simplified formula in
+``moments.COROLLARIES`` from oracle data alone and compares the
+recovered coefficients with the printed ones.  ``explore_D_even`` runs
+the same machinery over a finite ansatz catalogue for the even-power D
+sums, where no closed form is known; it reports honest statuses and
+never fabricates a result.
 """
 
 from __future__ import annotations
@@ -27,115 +30,17 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DomainError, Inconsistent, SingularSystem
-from .exact import bracket, central_binomial
-from .moments import MomentQuery, oracle
-from .series import Polynomial
-
-PREFACTORS = ("unit", "sign", "central", "bracket", "power2")
-
-
-def _poly_str(coeffs: Sequence[Fraction], var: str = "n") -> str:
-    parts = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        elif i == 1:
-            parts.append(f"{c}*{var}")
-        else:
-            parts.append(f"{c}*{var}^{i}")
-    return " + ".join(parts) if parts else "0"
-
-
-@dataclass(frozen=True)
-class AnsatzTerm:
-    """One structured term: prefactor * poly(deg<=degree) / prod(a*n+b)."""
-
-    prefactor: str
-    degree: int
-    roots: tuple[tuple[int, int], ...] = ()
-    shift: int = 0  # only for power2: the c in 2^(2n+c)
-
-    def __post_init__(self) -> None:
-        if self.prefactor not in PREFACTORS:
-            raise DomainError(f"unknown prefactor {self.prefactor!r}")
-        if self.degree < 0:
-            raise DomainError(f"degree must be >= 0, got {self.degree}")
-
-    def prefactor_value(self, n: int) -> Fraction:
-        if self.prefactor == "unit":
-            return Fraction(1)
-        if self.prefactor == "sign":
-            return Fraction(-1 if n % 2 else 1)
-        if self.prefactor == "central":
-            return central_binomial(n)
-        if self.prefactor == "bracket":
-            return bracket(2 * n, n)
-        return Fraction(2) ** (2 * n + self.shift)
-
-    def root_product(self, n: int) -> Fraction:
-        out = Fraction(1)
-        for a, b in self.roots:
-            out *= a * n + b
-        return out
-
-    def excluded_ns(self) -> set[int]:
-        """Positive integers where a denominator root vanishes."""
-        out = set()
-        for a, b in self.roots:
-            if a != 0 and (-b) % a == 0 and -b // a >= 1:
-                out.add(-b // a)
-        return out
-
-    def describe(self) -> str:
-        pf = {
-            "unit": "1",
-            "sign": "(-1)^n",
-            "central": "binom(2n,n)",
-            "bracket": "[2n,n]",
-            "power2": f"2^(2n{self.shift:+d})" if self.shift else "2^(2n)",
-        }[self.prefactor]
-        s = f"{pf} * poly(deg<={self.degree})"
-        if self.roots:
-            den = " ".join(f"({_poly_str((b, a))})" for a, b in self.roots)
-            s += f" / {den}"
-        return s
-
-
-@dataclass(frozen=True)
-class Ansatz:
-    """A sum of at most three structured terms."""
-
-    terms: tuple[AnsatzTerm, ...]
-
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.terms) <= 3:
-            raise DomainError(f"an ansatz has 1..3 terms, got {len(self.terms)}")
-
-    @property
-    def unknowns(self) -> int:
-        return sum(t.degree + 1 for t in self.terms)
-
-    def basis_at(self, n: int) -> list[Fraction]:
-        row: list[Fraction] = []
-        for t in self.terms:
-            base = t.prefactor_value(n) / t.root_product(n)
-            x = base
-            row.append(base)
-            for _ in range(t.degree):
-                x *= n
-                row.append(x)
-        return row
-
-    def excluded_ns(self) -> set[int]:
-        out: set[int] = set()
-        for t in self.terms:
-            out |= t.excluded_ns()
-        return out
-
-    def describe(self) -> str:
-        return "  +  ".join(t.describe() for t in self.terms)
+from .moments import (
+    COROLLARIES,
+    PREFACTORS,
+    Ansatz,
+    AnsatzTerm,
+    MomentQuery,
+    PrintedForm,
+    _int_roots,
+    _odd_roots,
+    oracle,
+)
 
 
 @dataclass(frozen=True)
@@ -166,16 +71,7 @@ class ClosedFormCandidate:
         return out
 
     def formula(self) -> str:
-        parts = []
-        for t, cs in self.term_coefficients():
-            if all(c == 0 for c in cs):
-                continue
-            pf = t.describe().split(" * ")[0]
-            s = f"{pf} * ({_poly_str(cs)})"
-            if t.roots:
-                den = " ".join(f"({_poly_str((b, a))})" for a, b in t.roots)
-                s += f" / {den}"
-            parts.append(s)
+        parts = [t.describe(cs) for t, cs in self.term_coefficients() if any(cs)]
         return "  +  ".join(parts) if parts else "0"
 
     def to_dict(self) -> dict:
@@ -288,226 +184,9 @@ def fit(
 # ---------------------------------------------------------------------------
 
 
-def _odd_roots(count: int, first: int) -> tuple[tuple[int, int], ...]:
-    """((2, -first), (2, -first-2), ...) -- denominators (2n-first)(2n-first-2)..."""
-    return tuple((2, -(first + 2 * i)) for i in range(count))
-
-
-def _int_roots(count: int) -> tuple[tuple[int, int], ...]:
-    """((1, -1), ..., (1, -count)) -- denominators (n-1)...(n-count)."""
-    return tuple((1, -j) for j in range(1, count + 1))
-
-
-def _P(*coeffs) -> Polynomial:
-    return Polynomial([Fraction(c) for c in coeffs])
-
-
-_N = _P(0, 1)  # the polynomial n
-
-
-def _pad(p: Polynomial, degree: int) -> tuple[Fraction, ...]:
-    if p.degree > degree:
-        raise DomainError(f"printed numerator degree {p.degree} exceeds ansatz degree {degree}")
-    return tuple(list(p.coeffs) + [Fraction(0)] * (degree - p.degree))
-
-
-@dataclass(frozen=True)
-class PrintedForm:
-    """One printed formula in fit-ready shape: ansatz plus expected coefficients."""
-
-    label: str
-    family: str
-    power: int
-    ansatz: Ansatz
-    expected: tuple[Fraction, ...]
-    region_note: Optional[str] = None
-
-
-def _printed(label, family, power, term_specs, note=None) -> PrintedForm:
-    """term_specs: list of (AnsatzTerm, numerator Polynomial, scale Fraction)."""
-    terms = []
-    expected: list[Fraction] = []
-    for term, numerator, scale in term_specs:
-        terms.append(term)
-        expected.extend(_pad(numerator * Fraction(scale), term.degree))
-    return PrintedForm(label, family, power, Ansatz(tuple(terms)), tuple(expected), note)
-
-
-# Numerator polynomials of the printed formulas, lowest degree first.
-_A_EVEN = {
-    1: _P(1),
-    2: _P(-1, 3),
-    3: _P(4, -15, 15),
-    4: _P(-34, 147, -210, 105),
-    5: _P(496, -2370, 4095, -3150, 945),
-}
-_A_ODD = {0: _P(1), 1: _P(1), 2: _P(-1, 2), 3: _P(3, -8, 6), 4: _P(-17, 54, -60, 24)}
-_B_ODD = {
-    0: _P(0, 1),
-    1: _P(0, 0, -1),
-    2: _P(0, 0, -1, 4),
-    3: _P(0, 0, -5, 24, -34),
-    4: _P(0, 0, -63, 344, -672, 496),
-}
-_C_EVEN = {
-    1: _P(1),
-    2: _P(1, -5, -1, 2),
-    3: _P(5, -31, 40, 30, -25, -8, 4),
-    4: _P(63, -443, 855, -175, -847, 231, 301, -62, -36, 8),
-    5: _P(1575, -12077, 28666, -19460, -17070, 23466, 4368, -9348, -735, 1680, -8, -128, 16),
-}
-_C_ODD_SIGN = {
-    0: (_P(1), Fraction(1, 8)),
-    1: (_P(1, -6, 0, 4), Fraction(1, 32)),
-    2: (_P(3, -22, 40, 20, -40, -8, 8), Fraction(1, 64)),
-    3: (_P(51, -422, 1068, -532, -1288, 840, 616, -272, -96, 32), Fraction(1, 256)),
-    4: (
-        _P(465, -4178, 12576, -12532, -7224, 18792, -840, -9744, 864, 2208, -224, -192, 32),
-        Fraction(1, 256),
-    ),
-}
-_C_ODD_BRACKET = {
-    0: (_P(1), Fraction(1, 8)),
-    1: (_P(1), Fraction(-1, 32)),
-    2: (_P(-3, 4), Fraction(1, 64)),
-    3: (_P(51, -116, 68), Fraction(-1, 256)),
-    4: (_P(-465, 1388, -1416, 496), Fraction(1, 256)),
-}
-_D_ODD_BRACKET = {
-    0: (_P(1), Fraction(1, 4)),
-    1: (_P(1), Fraction(1, 8)),
-    2: (_P(-1, 1), Fraction(1, 4)),
-    3: (_P(17, -28, 12), Fraction(1, 16)),
-    4: (_P(-31, 66, -48, 12), Fraction(1, 4)),
-}
-_D_ODD_REST = {
-    0: (_P(1), Fraction(1, 4)),
-    1: (_P(-1, 4, 2), Fraction(1, 8)),
-    2: (_P(1, -5, 3, 4, 1), Fraction(1, 4)),
-    3: (_P(-17, 96, -108, -28, 42, 24, 4), Fraction(1, 16)),
-    4: (_P(31, -190, 283, -52, -98, 2, 22, 8, 1), Fraction(1, 4)),
-}
-
-_TWO_N_MINUS_1 = _P(-1, 2)
-_TWO_N_PLUS_1 = _P(1, 2)
-
-
 def printed_forms() -> list[PrintedForm]:
     """Every printed simplified formula as an exact fitting target."""
-    forms: list[PrintedForm] = [
-        _printed(
-            "A0",
-            "A",
-            0,
-            [
-                (AnsatzTerm("power2", 0, shift=-1), _P(1), 1),
-                (AnsatzTerm("central", 0), _P(1), Fraction(-1, 2)),
-            ],
-        ),
-        _printed("B0", "B", 0, [(AnsatzTerm("central", 0), _P(1), Fraction(1, 2))]),
-        _printed(
-            "C0",
-            "C",
-            0,
-            [
-                (AnsatzTerm("bracket", 0), _P(1), Fraction(1, 2)),
-                (AnsatzTerm("sign", 0, roots=_odd_roots(1, 1)), _P(1), Fraction(1, 2)),
-            ],
-        ),
-    ]
-    for t, p in _A_EVEN.items():
-        forms.append(
-            _printed(
-                f"A{2 * t}",
-                "A",
-                2 * t,
-                [(AnsatzTerm("power2", t, shift=-(1 + t)), _N * p, 1)],
-            )
-        )
-    for t, p in _A_ODD.items():
-        numerator = _N * p if t == 0 else _N * _N * p
-        forms.append(
-            _printed(
-                f"A{2 * t + 1}",
-                "A",
-                2 * t + 1,
-                [(AnsatzTerm("central", t + 1), numerator, Fraction(1, 2))],
-            )
-        )
-    for t, p in _B_ODD.items():
-        forms.append(
-            _printed(
-                f"B{2 * t + 1}",
-                "B",
-                2 * t + 1,
-                [(AnsatzTerm("central", t + 1, roots=_odd_roots(t + 1, 1)), p, Fraction(1, 2))],
-            )
-        )
-    for t in range(1, 5):
-        # The even alternating binomial sums vanish identically for n > t.
-        forms.append(
-            _printed(
-                f"B{2 * t}",
-                "B",
-                2 * t,
-                [(AnsatzTerm("central", 1), _P(0), 1)],
-                note=f"value 0, valid for n > {t}",
-            )
-        )
-    for t, p in _C_EVEN.items():
-        forms.append(
-            _printed(
-                f"C{2 * t}",
-                "C",
-                2 * t,
-                [
-                    (
-                        AnsatzTerm("sign", 3 * t - 1, roots=_odd_roots(t, 3)),
-                        _N * _P(1, 1) * p,
-                        Fraction(1, 2),
-                    )
-                ],
-            )
-        )
-    for t in range(5):
-        sp, ss = _C_ODD_SIGN[t]
-        bp, bs = _C_ODD_BRACKET[t]
-        forms.append(
-            _printed(
-                f"C{2 * t + 1}",
-                "C",
-                2 * t + 1,
-                [
-                    (AnsatzTerm("sign", 3 * t + 1, roots=_int_roots(t + 1)), _TWO_N_PLUS_1 * sp, ss),
-                    (
-                        AnsatzTerm("bracket", t + 1, roots=_int_roots(t + 1)),
-                        _TWO_N_MINUS_1 * bp if t == 0 else _TWO_N_MINUS_1 * _TWO_N_MINUS_1 * bp,
-                        bs,
-                    ),
-                ],
-                note=f"valid for n > {t + 1}",
-            )
-        )
-    for t in range(5):
-        bp, bs = _D_ODD_BRACKET[t]
-        rp, rs = _D_ODD_REST[t]
-        forms.append(
-            _printed(
-                f"D{2 * t + 1}",
-                "D",
-                2 * t + 1,
-                [
-                    (
-                        AnsatzTerm("bracket", t + 1),
-                        _TWO_N_MINUS_1 * bp if t == 0 else _TWO_N_MINUS_1 * _TWO_N_MINUS_1 * bp,
-                        bs,
-                    ),
-                    (AnsatzTerm("unit", 2 * t), rp, rs),
-                ],
-            )
-        )
-    forms.sort(key=lambda f: (f.family, f.power))
-    return forms
+    return sorted(COROLLARIES.values(), key=lambda pf: (pf.family, pf.power))
 
 
 @dataclass(frozen=True)
@@ -648,30 +327,3 @@ def explore_D_even(m: int, config: SearchConfig = SearchConfig()) -> list[Closed
             continue
         out.append(cand)
     return out
-
-
-def family_ansatz(family: str, parity: str, t: int) -> Optional[Ansatz]:
-    """The structural shape of a family's closed forms for half exponent t.
-
-    Extends the printed shapes to any t; returns None for even D (open).
-    """
-    if family == "A" and parity == "even":
-        return Ansatz((AnsatzTerm("power2", t, shift=-(1 + t)),))
-    if family == "A" and parity == "odd":
-        return Ansatz((AnsatzTerm("central", t + 1),))
-    if family == "B" and parity == "even":
-        return Ansatz((AnsatzTerm("central", 1),))  # the zero formula for n > t
-    if family == "B" and parity == "odd":
-        return Ansatz((AnsatzTerm("central", t + 1, roots=_odd_roots(t + 1, 1)),))
-    if family == "C" and parity == "even":
-        return Ansatz((AnsatzTerm("sign", max(3 * t - 1, 0), roots=_odd_roots(t, 3)),))
-    if family == "C" and parity == "odd":
-        return Ansatz(
-            (
-                AnsatzTerm("sign", 3 * t + 1, roots=_int_roots(t + 1)),
-                AnsatzTerm("bracket", t + 1, roots=_int_roots(t + 1)),
-            )
-        )
-    if family == "D" and parity == "odd":
-        return Ansatz((AnsatzTerm("bracket", t + 1), AnsatzTerm("unit", 2 * t)))
-    return None

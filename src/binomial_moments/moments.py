@@ -1,4 +1,4 @@
-"""Four families of binomial moment sums, evaluated by independent routes.
+"""Four families of binomial moment sums: what the formulas are, and their values.
 
 Families (full exponent m >= 0, size n >= 1; C(,) is the ordinary
 binomial, [,] the half-integer bracket from .exact):
@@ -15,8 +15,15 @@ Three evaluation routes are provided and cross-verified:
                          complete symmetric functions sigma_{t,l} (one identity
                          per family/parity; none is known for D at even m > 0,
                          which stays an open case);
-* ``corollary_value`` -- a table of fully simplified printed formulas for small
-                         exponents, each with its validity guard.
+* ``corollary_value`` -- the printed simplified formulas for small exponents,
+                         each with its validity guard.
+
+The printed formulas live in one table, ``COROLLARIES``: each entry is a
+``PrintedForm``, an ``Ansatz`` (a sum of structured terms
+prefactor(n) * poly(n) / prod(a*n + b)) with exact coefficients.  Its
+value, its LaTeX and the coefficients that ``conjecture`` must recover
+when it refits the formula from oracle data all derive from that record.
+How formulas are fitted lives in ``conjecture``.
 
 Two of the closed-form identities admit more than one plausible reading
 (a shifted vs unshifted symmetric-function argument for odd C, and a
@@ -30,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional, Sequence
 
 from .errors import (
     ConsistencyError,
@@ -58,6 +65,9 @@ class MomentQuery:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise DomainError(f"family must be one of {FAMILIES}, got {self.family!r}")
+        for name, v in (("exponent", self.m), ("size", self.n)):
+            if type(v) is not int:  # bool is an int subclass, float is inexact
+                raise DomainError(f"{name} must be an int, got {v!r}")
         if self.m < 0:
             raise DomainError(f"exponent must be >= 0, got {self.m}")
         if self.n < 1:
@@ -320,248 +330,389 @@ def lemma1_residual(m: int, x: Scalar, y: Scalar) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Printed simplified formulas (the corollary table).
+# The printed simplified formulas (the corollary table), stored once as
+# ansatz records; see the module docstring.
 # ---------------------------------------------------------------------------
+
+PREFACTORS = ("unit", "sign", "central", "bracket", "power2")
+
+
+def _poly_str(coeffs: Sequence[Scalar], var: str = "n") -> str:
+    parts = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        elif i == 1:
+            parts.append(f"{c}*{var}")
+        else:
+            parts.append(f"{c}*{var}^{i}")
+    return " + ".join(parts) if parts else "0"
 
 
 @dataclass(frozen=True)
-class CorollaryEntry:
-    """One printed simplified formula with its validity guard."""
+class AnsatzTerm:
+    """One structured term: prefactor * poly(deg<=degree) / prod(a*n+b)."""
 
-    min_n: int
-    value: Callable[[int], Fraction]
-    formula: str  # LaTeX source (assumes amsmath)
+    prefactor: str
+    degree: int
+    roots: tuple[tuple[int, int], ...] = ()
+    shift: int = 0  # only for power2: the c in 2^(2n+c)
+
+    def __post_init__(self) -> None:
+        if self.prefactor not in PREFACTORS:
+            raise DomainError(f"unknown prefactor {self.prefactor!r}")
+        if self.degree < 0:
+            raise DomainError(f"degree must be >= 0, got {self.degree}")
+
+    def prefactor_value(self, n: int) -> Fraction:
+        if self.prefactor == "unit":
+            return Fraction(1)
+        if self.prefactor == "sign":
+            return Fraction(-1 if n % 2 else 1)
+        if self.prefactor == "central":
+            return central_binomial(n)
+        if self.prefactor == "bracket":
+            return bracket(2 * n, n)
+        return Fraction(2) ** (2 * n + self.shift)
+
+    def root_product(self, n: int) -> int:
+        out = 1
+        for a, b in self.roots:
+            out *= a * n + b
+        return out
+
+    def excluded_ns(self) -> set[int]:
+        """Positive integers where a denominator root vanishes."""
+        out = set()
+        for a, b in self.roots:
+            if a != 0 and (-b) % a == 0 and -b // a >= 1:
+                out.add(-b // a)
+        return out
+
+    def describe(self, coeffs: Optional[Sequence[Fraction]] = None) -> str:
+        """The term's shape in plain text, or the term itself given its coefficients."""
+        pf = {
+            "unit": "1",
+            "sign": "(-1)^n",
+            "central": "binom(2n,n)",
+            "bracket": "[2n,n]",
+            "power2": f"2^(2n{self.shift:+d})" if self.shift else "2^(2n)",
+        }[self.prefactor]
+        poly = f"poly(deg<={self.degree})" if coeffs is None else f"({_poly_str(coeffs)})"
+        s = f"{pf} * {poly}"
+        if self.roots:
+            den = " ".join(f"({_poly_str((b, a))})" for a, b in self.roots)
+            s += f" / {den}"
+        return s
 
 
-def _poly(x: Scalar, *coeffs: int) -> Fraction:
-    """Evaluate a polynomial given lowest-degree-first integer coefficients."""
-    x = Fraction(x)
-    out = Fraction(0)
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
+@dataclass(frozen=True)
+class Ansatz:
+    """A sum of at most three structured terms."""
+
+    terms: tuple[AnsatzTerm, ...]
+
+    def __post_init__(self) -> None:
+        if not 1 <= len(self.terms) <= 3:
+            raise DomainError(f"an ansatz has 1..3 terms, got {len(self.terms)}")
+
+    @property
+    def unknowns(self) -> int:
+        return sum(t.degree + 1 for t in self.terms)
+
+    def basis_at(self, n: int) -> list[Fraction]:
+        row: list[Fraction] = []
+        for t in self.terms:
+            base = t.prefactor_value(n) / t.root_product(n)
+            x = base
+            row.append(base)
+            for _ in range(t.degree):
+                x *= n
+                row.append(x)
+        return row
+
+    def excluded_ns(self) -> set[int]:
+        out: set[int] = set()
+        for t in self.terms:
+            out |= t.excluded_ns()
+        return out
+
+    def describe(self) -> str:
+        return "  +  ".join(t.describe() for t in self.terms)
 
 
-def _cb(n: int) -> Fraction:
-    return central_binomial(n)
+def _odd_roots(count: int, first: int) -> tuple[tuple[int, int], ...]:
+    """((2, -first), (2, -first-2), ...) -- denominators (2n-first)(2n-first-2)..."""
+    return tuple((2, -(first + 2 * i)) for i in range(count))
 
 
-def _br(n: int) -> Fraction:
-    return bracket(2 * n, n)
+def _int_roots(count: int) -> tuple[tuple[int, int], ...]:
+    """((1, -1), ..., (1, -count)) -- denominators (n-1)...(n-count)."""
+    return tuple((1, -j) for j in range(1, count + 1))
 
 
-def _pw(n: int, c: int) -> Fraction:
-    return Fraction(2) ** (2 * n + c)
+def family_ansatz(family: str, parity: str, t: int) -> Optional[Ansatz]:
+    """The structural shape of a family's closed forms for half exponent t.
 
-
-def _sgn(n: int) -> int:
-    return -1 if n % 2 else 1
-
-
-def _ff(n: int, *shifts: int) -> Fraction:
-    """Product of the linear factors (n - j) for the given shifts j."""
-    out = Fraction(1)
-    for j in shifts:
-        out *= n - j
-    return out
-
-
-def _odd(n: int, count: int, first: int = 1) -> Fraction:
-    """Product (2n-first)(2n-first-2)... with `count` factors."""
-    out = Fraction(1)
-    for i in range(count):
-        out *= 2 * n - first - 2 * i
-    return out
-
-
-_BR_TEX = r"\genfrac{[}{]}{0pt}{}{2n}{n}"
-
-COROLLARIES: dict[tuple[str, int], CorollaryEntry] = {
-    # --- family A ---------------------------------------------------------
-    ("A", 0): CorollaryEntry(1, lambda n: _pw(n, -1) - _cb(n) / 2, r"2^{2n-1}-\tfrac12\binom{2n}{n}"),
-    ("A", 1): CorollaryEntry(1, lambda n: _cb(n) * n / 2, r"\tfrac{n}{2}\binom{2n}{n}"),
-    ("A", 2): CorollaryEntry(1, lambda n: _pw(n, -2) * n, r"2^{2n-2}n"),
-    ("A", 3): CorollaryEntry(1, lambda n: _cb(n) * n * n / 2, r"\tfrac{n^2}{2}\binom{2n}{n}"),
-    ("A", 4): CorollaryEntry(1, lambda n: _pw(n, -3) * n * (3 * n - 1), r"2^{2n-3}n(3n-1)"),
-    ("A", 5): CorollaryEntry(
-        1, lambda n: _cb(n) * n * n * (2 * n - 1) / 2, r"\tfrac{n^2}{2}\binom{2n}{n}(2n-1)"
-    ),
-    ("A", 6): CorollaryEntry(
-        1, lambda n: _pw(n, -4) * n * _poly(n, 4, -15, 15), r"2^{2n-4}n(15n^2-15n+4)"
-    ),
-    ("A", 7): CorollaryEntry(
-        1,
-        lambda n: _cb(n) * n * n * _poly(n, 3, -8, 6) / 2,
-        r"\tfrac{n^2}{2}\binom{2n}{n}(6n^2-8n+3)",
-    ),
-    ("A", 8): CorollaryEntry(
-        1,
-        lambda n: _pw(n, -5) * n * _poly(n, -34, 147, -210, 105),
-        r"2^{2n-5}n(105n^3-210n^2+147n-34)",
-    ),
-    ("A", 9): CorollaryEntry(
-        1,
-        lambda n: _cb(n) * n * n * _poly(n, -17, 54, -60, 24) / 2,
-        r"\tfrac{n^2}{2}\binom{2n}{n}(24n^3-60n^2+54n-17)",
-    ),
-    ("A", 10): CorollaryEntry(
-        1,
-        lambda n: _pw(n, -6) * n * _poly(n, 496, -2370, 4095, -3150, 945),
-        r"2^{2n-6}n(945n^4-3150n^3+4095n^2-2370n+496)",
-    ),
-    # --- family B ---------------------------------------------------------
-    ("B", 0): CorollaryEntry(1, lambda n: _cb(n) / 2, r"\tfrac12\binom{2n}{n}"),
-    ("B", 1): CorollaryEntry(
-        1,
-        lambda n: _cb(n) * Fraction(n, 2 * (2 * n - 1)),
-        r"\binom{2n}{n}\frac{n}{2(2n-1)}",
-    ),
-    ("B", 2): CorollaryEntry(1, lambda n: Fraction(1 if n == 1 else 0), r"\chi(n=1)"),
-    ("B", 3): CorollaryEntry(
-        1,
-        lambda n: -_cb(n) * n * n / (2 * _odd(n, 2)),
-        r"-\binom{2n}{n}\frac{n^2}{2(2n-1)(2n-3)}",
-    ),
-    ("B", 5): CorollaryEntry(
-        1,
-        lambda n: _cb(n) * n * n * (4 * n - 1) / (2 * _odd(n, 3)),
-        r"\binom{2n}{n}\frac{n^2(4n-1)}{2(2n-1)(2n-3)(2n-5)}",
-    ),
-    ("B", 7): CorollaryEntry(
-        1,
-        lambda n: -_cb(n) * n * n * _poly(n, 5, -24, 34) / (2 * _odd(n, 4)),
-        r"-\binom{2n}{n}\frac{n^2(34n^2-24n+5)}{2(2n-1)(2n-3)(2n-5)(2n-7)}",
-    ),
-    ("B", 9): CorollaryEntry(
-        1,
-        lambda n: _cb(n) * n * n * _poly(n, -63, 344, -672, 496) / (2 * _odd(n, 5)),
-        r"\binom{2n}{n}\frac{n^2(496n^3-672n^2+344n-63)}{2(2n-1)(2n-3)(2n-5)(2n-7)(2n-9)}",
-    ),
-    # --- family C ---------------------------------------------------------
-    ("C", 0): CorollaryEntry(
-        1,
-        lambda n: _br(n) / 2 + Fraction(_sgn(n), 4 * n - 2),
-        _BR_TEX + r"\,\tfrac12+\frac{(-1)^n}{4n-2}",
-    ),
-    ("C", 1): CorollaryEntry(
-        2,
-        lambda n: Fraction(_sgn(n) * (2 * n + 1), 8 * (n - 1)) + _br(n) * Fraction(2 * n - 1, 8 * (n - 1)),
-        r"(-1)^n\frac{2n+1}{8(n-1)}+" + _BR_TEX + r"\frac{2n-1}{8(n-1)}",
-    ),
-    ("C", 2): CorollaryEntry(
-        1,
-        lambda n: Fraction(_sgn(n) * n * (n + 1), 2 * (2 * n - 3)),
-        r"(-1)^n\frac{n(n+1)}{2(2n-3)}",
-    ),
-    ("C", 3): CorollaryEntry(
-        3,
-        lambda n: _sgn(n) * (2 * n + 1) * _poly(n, 1, -6, 0, 4) / (32 * _ff(n, 1, 2))
-        - _br(n) * (2 * n - 1) ** 2 / (32 * _ff(n, 1, 2)),
-        r"(-1)^n\frac{(2n+1)(4n^3-6n+1)}{32(n-1)(n-2)}-"
-        + _BR_TEX
-        + r"\frac{(2n-1)^2}{32(n-1)(n-2)}",
-    ),
-    ("C", 4): CorollaryEntry(
-        1,
-        lambda n: _sgn(n) * n * (n + 1) * _poly(n, 1, -5, -1, 2) / (2 * _odd(n, 2, 3)),
-        r"(-1)^n\frac{n(n+1)(2n^3-n^2-5n+1)}{2(2n-3)(2n-5)}",
-    ),
-    ("C", 5): CorollaryEntry(
-        4,
-        lambda n: _sgn(n) * (2 * n + 1) * _poly(n, 3, -22, 40, 20, -40, -8, 8) / (64 * _ff(n, 1, 2, 3))
-        + _br(n) * (2 * n - 1) ** 2 * (4 * n - 3) / (64 * _ff(n, 1, 2, 3)),
-        r"(-1)^n\frac{(2n+1)(8n^6-8n^5-40n^4+20n^3+40n^2-22n+3)}{64(n-1)(n-2)(n-3)}+"
-        + _BR_TEX
-        + r"\frac{(2n-1)^2(4n-3)}{64(n-1)(n-2)(n-3)}",
-    ),
-    ("C", 6): CorollaryEntry(
-        1,
-        lambda n: _sgn(n) * n * (n + 1) * _poly(n, 5, -31, 40, 30, -25, -8, 4) / (2 * _odd(n, 3, 3)),
-        r"(-1)^n\frac{n(n+1)(4n^6-8n^5-25n^4+30n^3+40n^2-31n+5)}{2(2n-3)(2n-5)(2n-7)}",
-    ),
-    ("C", 7): CorollaryEntry(
-        5,
-        lambda n: _sgn(n)
-        * (2 * n + 1)
-        * _poly(n, 51, -422, 1068, -532, -1288, 840, 616, -272, -96, 32)
-        / (256 * _ff(n, 1, 2, 3, 4))
-        - _br(n) * (2 * n - 1) ** 2 * _poly(n, 51, -116, 68) / (256 * _ff(n, 1, 2, 3, 4)),
-        r"(-1)^n\frac{(2n+1)(32n^9-96n^8-272n^7+616n^6+840n^5-1288n^4-532n^3+1068n^2-422n+51)}"
-        r"{256(n-1)(n-2)(n-3)(n-4)}-"
-        + _BR_TEX
-        + r"\frac{(2n-1)^2(68n^2-116n+51)}{256(n-1)(n-2)(n-3)(n-4)}",
-    ),
-    ("C", 8): CorollaryEntry(
-        1,
-        lambda n: _sgn(n)
-        * n
-        * (n + 1)
-        * _poly(n, 63, -443, 855, -175, -847, 231, 301, -62, -36, 8)
-        / (2 * _odd(n, 4, 3)),
-        r"(-1)^n\frac{n(n+1)(8n^9-36n^8-62n^7+301n^6+231n^5-847n^4-175n^3+855n^2-443n+63)}"
-        r"{2(2n-3)(2n-5)(2n-7)(2n-9)}",
-    ),
-    ("C", 9): CorollaryEntry(
-        6,
-        lambda n: _sgn(n)
-        * (2 * n + 1)
-        * _poly(n, 465, -4178, 12576, -12532, -7224, 18792, -840, -9744, 864, 2208, -224, -192, 32)
-        / (256 * _ff(n, 1, 2, 3, 4, 5))
-        + _br(n) * (2 * n - 1) ** 2 * _poly(n, -465, 1388, -1416, 496) / (256 * _ff(n, 1, 2, 3, 4, 5)),
-        r"(-1)^n\frac{(2n+1)(32n^{12}-192n^{11}-224n^{10}+2208n^9+864n^8-9744n^7"
-        r"-840n^6+18792n^5-7224n^4-12532n^3+12576n^2-4178n+465)}{256(n-1)(n-2)(n-3)(n-4)(n-5)}+"
-        + _BR_TEX
-        + r"\frac{(2n-1)^2(496n^3-1416n^2+1388n-465)}{256(n-1)(n-2)(n-3)(n-4)(n-5)}",
-    ),
-    ("C", 10): CorollaryEntry(
-        1,
-        lambda n: _sgn(n)
-        * n
-        * (n + 1)
-        * _poly(
-            n, 1575, -12077, 28666, -19460, -17070, 23466, 4368, -9348, -735, 1680, -8, -128, 16
+    Every printed formula with m >= 1 has this shape; it extends to any t.
+    Returns None for even D (open).
+    """
+    if family == "A" and parity == "even":
+        return Ansatz((AnsatzTerm("power2", t, shift=-(1 + t)),))
+    if family == "A" and parity == "odd":
+        return Ansatz((AnsatzTerm("central", t + 1),))
+    if family == "B" and parity == "even":
+        return Ansatz((AnsatzTerm("central", 1),))  # the zero formula for n > t
+    if family == "B" and parity == "odd":
+        return Ansatz((AnsatzTerm("central", t + 1, roots=_odd_roots(t + 1, 1)),))
+    if family == "C" and parity == "even":
+        return Ansatz((AnsatzTerm("sign", max(3 * t - 1, 0), roots=_odd_roots(t, 3)),))
+    if family == "C" and parity == "odd":
+        return Ansatz(
+            (
+                AnsatzTerm("sign", 3 * t + 1, roots=_int_roots(t + 1)),
+                AnsatzTerm("bracket", t + 1, roots=_int_roots(t + 1)),
+            )
         )
-        / (2 * _odd(n, 5, 3)),
-        r"(-1)^n\frac{n(n+1)(16n^{12}-128n^{11}-8n^{10}+1680n^9-735n^8-9348n^7+4368n^6"
-        r"+23466n^5-17070n^4-19460n^3+28666n^2-12077n+1575)}{2(2n-3)(2n-5)(2n-7)(2n-9)(2n-11)}",
-    ),
-    # --- family D ---------------------------------------------------------
-    ("D", 1): CorollaryEntry(
-        1,
-        lambda n: _br(n) * Fraction(2 * n - 1, 4) + Fraction(1, 4),
-        _BR_TEX + r"\frac{2n-1}{4}+\frac14",
-    ),
-    ("D", 3): CorollaryEntry(
-        1,
-        lambda n: _br(n) * Fraction((2 * n - 1) ** 2, 8) + _poly(n, -1, 4, 2) / 8,
-        _BR_TEX + r"\frac{(2n-1)^2}{8}+\frac{2n^2+4n-1}{8}",
-    ),
-    ("D", 5): CorollaryEntry(
-        1,
-        lambda n: _br(n) * Fraction((2 * n - 1) ** 2 * (n - 1), 4) + _poly(n, 1, -5, 3, 4, 1) / 4,
-        _BR_TEX + r"\frac{(2n-1)^2(n-1)}{4}+\frac{n^4+4n^3+3n^2-5n+1}{4}",
-    ),
-    ("D", 7): CorollaryEntry(
-        1,
-        lambda n: _br(n) * Fraction((2 * n - 1) ** 2, 16) * _poly(n, 17, -28, 12)
-        + _poly(n, -17, 96, -108, -28, 42, 24, 4) / 16,
-        _BR_TEX
-        + r"\frac{(2n-1)^2(12n^2-28n+17)}{16}"
-        r"+\frac{4n^6+24n^5+42n^4-28n^3-108n^2+96n-17}{16}",
-    ),
-    ("D", 9): CorollaryEntry(
-        1,
-        lambda n: _br(n) * Fraction((2 * n - 1) ** 2, 4) * _poly(n, -31, 66, -48, 12)
-        + _poly(n, 31, -190, 283, -52, -98, 2, 22, 8, 1) / 4,
-        _BR_TEX
-        + r"\frac{(2n-1)^2(12n^3-48n^2+66n-31)}{4}"
-        r"+\frac{n^8+8n^7+22n^6+2n^5-98n^4-52n^3+283n^2-190n+31}{4}",
-    ),
+    if family == "D" and parity == "odd":
+        return Ansatz((AnsatzTerm("bracket", t + 1), AnsatzTerm("unit", 2 * t)))
+    return None
+
+
+def _horner(coeffs: tuple[int, ...], n: int) -> int:
+    out = 0
+    for c in reversed(coeffs):
+        out = out * n + c
+    return out
+
+
+def _power_tex(i: int) -> str:
+    return "" if i == 0 else "n" if i == 1 else f"n^{i}" if i < 10 else f"n^{{{i}}}"
+
+
+def _poly_tex(coeffs: Sequence[int]) -> str:
+    """An integer polynomial, lowest degree first, as LaTeX highest degree first."""
+    text = ""
+    for i in reversed(range(len(coeffs))):
+        c = coeffs[i]
+        if c:
+            digits = str(abs(c)) if abs(c) != 1 or i == 0 else ""
+            text += ("-" if c < 0 else "+") + digits + _power_tex(i)
+    return text.lstrip("+") or "0"
+
+
+_PREFACTOR_TEX = {
+    "unit": "",
+    "sign": "(-1)^n",
+    "central": r"\binom{2n}{n}",
+    "bracket": r"\genfrac{[}{]}{0pt}{}{2n}{n}",
 }
 
-# The even-B sums vanish identically past the exponent: value 0 for n > m/2.
-for _m in range(4, 17, 2):
-    COROLLARIES[("B", _m)] = CorollaryEntry(_m // 2 + 1, lambda n: Fraction(0), r"0")
+
+def _term_tex(term: AnsatzTerm, num: tuple[int, ...], den: int) -> str:
+    """One nonzero term, led by its sign: prefactor * num(n) / (den * roots(n))."""
+    low = next(i for i, c in enumerate(num) if c)
+    top = max(i for i, c in enumerate(num) if c)
+    sign = -1 if num[top] < 0 else 1
+    rest = [sign * c for c in num[low : top + 1]]  # num = sign * n^low * rest(n)
+    if len(rest) == 1:
+        text = ("" if rest[0] == 1 and low else str(rest[0])) + _power_tex(low)
+    elif low:
+        text = f"{_power_tex(low)}({_poly_tex(rest)})"
+    else:
+        text = _poly_tex(rest)
+    if term.prefactor == "power2":
+        pf = f"2^{{2n{term.shift:+d}}}" if term.shift else "2^{2n}"
+    else:
+        pf = _PREFACTOR_TEX[term.prefactor]
+    lead = "-" if sign < 0 else "+"
+    if den != 1 or term.roots:
+        below = (str(den) if den != 1 else "") + "".join(
+            f"({_poly_tex((b, a))})" for a, b in term.roots
+        )
+        return lead + pf + rf"\frac{{{text}}}{{{below}}}"
+    if text == "1":
+        return lead + (pf or "1")
+    bare_sum = len(rest) > 1 and not low
+    return lead + pf + (f"({text})" if pf and bare_sum else text)
+
+
+@dataclass(frozen=True)
+class PrintedForm:
+    """One printed simplified formula: an ansatz with exact coefficients.
+
+    For n >= min_n, term i contributes
+    prefactor(n) * numerators[i](n) / (denominators[i] * roots(n)), with
+    numerators lowest degree first.  ``points`` holds printed values (n, v)
+    that replace the ansatz at single n, such as B_2's chi(n=1).
+    """
+
+    family: str
+    power: int
+    ansatz: Ansatz
+    numerators: tuple[tuple[int, ...], ...]
+    denominators: tuple[int, ...]
+    min_n: int = 1
+    points: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self) -> None:
+        terms = self.ansatz.terms
+        if not len(terms) == len(self.numerators) == len(self.denominators):
+            raise DomainError(f"{self.label}: one numerator and denominator per term")
+        for term, num, den in zip(terms, self.numerators, self.denominators):
+            if len(num) != term.degree + 1 or den < 1:
+                raise DomainError(
+                    f"{self.label}: {term.describe()} needs {term.degree + 1} numerator "
+                    f"coefficients and a positive denominator, got {num} / {den}"
+                )
+
+    @property
+    def label(self) -> str:
+        return f"{self.family}{self.power}"
+
+    @property
+    def expected(self) -> tuple[Fraction, ...]:
+        """The coefficients that fitting the ansatz must recover."""
+        return tuple(
+            Fraction(c, den) for num, den in zip(self.numerators, self.denominators) for c in num
+        )
+
+    @property
+    def region_note(self) -> Optional[str]:
+        """Where the ansatz alone gives the printed value, unless that is every n >= 1."""
+        start = max([self.min_n] + [k + 1 for k, _ in self.points])
+        if not any(map(any, self.numerators)):
+            return f"value 0, valid for n > {start - 1}"
+        return f"valid for n > {start - 1}" if start > 1 else None
+
+    def _ansatz_value(self, n: int) -> Fraction:
+        total = Fraction(0)
+        for term, num, den in zip(self.ansatz.terms, self.numerators, self.denominators):
+            total += term.prefactor_value(n) * Fraction(_horner(num, n), den * term.root_product(n))
+        return total
+
+    def value(self, n: int) -> Fraction:
+        """The printed value at n; the guard n >= min_n is the caller's to check."""
+        for k, v in self.points:
+            if n == k:
+                return Fraction(v)
+        return self._ansatz_value(n)
+
+    def latex(self) -> str:
+        """LaTeX source of the formula (assumes amsmath)."""
+        text = "".join(
+            _term_tex(term, num, den)
+            for term, num, den in zip(self.ansatz.terms, self.numerators, self.denominators)
+            if any(num)
+        )
+        for k, v in self.points:
+            diff = v - self._ansatz_value(k)
+            if diff:
+                q = abs(diff)
+                scale = "" if q == 1 else rf"\tfrac{{{q.numerator}}}{{{q.denominator}}}"
+                text += ("-" if diff < 0 else "+") + scale + rf"\chi(n={k})"
+        return text.lstrip("+") or "0"
+
+
+def _form(
+    family: str,
+    m: int,
+    *terms: tuple[tuple[int, ...], int],
+    min_n: int = 1,
+    points: tuple[tuple[int, int], ...] = (),
+    ansatz: Optional[Ansatz] = None,
+) -> PrintedForm:
+    """A printed formula from one (numerator, denominator) pair per term of
+    its family's shape (``family_ansatz``) unless an ansatz is given."""
+    if ansatz is None:
+        ansatz = family_ansatz(family, "odd" if m % 2 else "even", m // 2)
+    numerators = tuple(num for num, _ in terms)
+    denominators = tuple(den for _, den in terms)
+    return PrintedForm(family, m, ansatz, numerators, denominators, min_n, points)
+
+
+# One (numerator, denominator) pair per term of the family's shape, each
+# numerator expanded and lowest degree first.  For example A_4(n) is
+# 2^(2n-3) (-n + 3n^2), and C_1(n), on two terms over the root n - 1, is
+# (-1)^n (1 + 2n) / (8(n-1)) + [2n,n] (-1 + 2n) / (8(n-1)).
+COROLLARIES: dict[tuple[str, int], PrintedForm] = {
+    (pf.family, pf.power): pf
+    for pf in (
+        _form(
+            "A", 0, ((1,), 1), ((-1,), 2),
+            ansatz=Ansatz((AnsatzTerm("power2", 0, shift=-1), AnsatzTerm("central", 0))),
+        ),
+        _form("A", 1, ((0, 1), 2)),
+        _form("A", 2, ((0, 1), 1)),
+        _form("A", 3, ((0, 0, 1), 2)),
+        _form("A", 4, ((0, -1, 3), 1)),
+        _form("A", 5, ((0, 0, -1, 2), 2)),
+        _form("A", 6, ((0, 4, -15, 15), 1)),
+        _form("A", 7, ((0, 0, 3, -8, 6), 2)),
+        _form("A", 8, ((0, -34, 147, -210, 105), 1)),
+        _form("A", 9, ((0, 0, -17, 54, -60, 24), 2)),
+        _form("A", 10, ((0, 496, -2370, 4095, -3150, 945), 1)),
+        _form("B", 0, ((1,), 2), ansatz=Ansatz((AnsatzTerm("central", 0),))),
+        _form("B", 1, ((0, 1), 2)),
+        _form("B", 2, ((0, 0), 1), points=((1, 1),)),
+        _form("B", 3, ((0, 0, -1), 2)),
+        _form("B", 5, ((0, 0, -1, 4), 2)),
+        _form("B", 7, ((0, 0, -5, 24, -34), 2)),
+        _form("B", 9, ((0, 0, -63, 344, -672, 496), 2)),
+        # The even-B sums vanish identically past the exponent: 0 for n > m/2.
+        *(_form("B", m, ((0, 0), 1), min_n=m // 2 + 1) for m in range(4, 17, 2)),
+        _form(
+            "C", 0, ((1,), 2), ((1,), 2),
+            ansatz=Ansatz(
+                (AnsatzTerm("bracket", 0), AnsatzTerm("sign", 0, roots=_odd_roots(1, 1)))
+            ),
+        ),
+        _form("C", 1, ((1, 2), 8), ((-1, 2), 8), min_n=2),
+        _form("C", 2, ((0, 1, 1), 2)),
+        _form("C", 3, ((1, -4, -12, 4, 8), 32), ((-1, 4, -4), 32), min_n=3),
+        _form("C", 4, ((0, 1, -4, -6, 1, 2), 2)),
+        _form(
+            "C", 5, ((3, -16, -4, 100, 0, -88, -8, 16), 64), ((-3, 16, -28, 16), 64), min_n=4
+        ),
+        _form("C", 6, ((0, 5, -26, 9, 70, 5, -33, -4, 4), 2)),
+        _form(
+            "C", 7,
+            ((51, -320, 224, 1604, -2352, -1736, 2296, 960, -640, -160, 64), 256),
+            ((-51, 320, -736, 736, -272), 256),
+            min_n=5,
+        ),
+        _form("C", 8, ((0, 63, -380, 412, 680, -1022, -616, 532, 239, -98, -28, 8), 2)),
+        _form(
+            "C", 9,
+            (
+                (465, -3248, 4220, 12620, -32288, 4344, 36744, -11424, -18624, 3936, 4192,
+                 -640, -352, 64),
+                256,
+            ),
+            ((-465, 3248, -8828, 11712, -7648, 1984), 256),
+            min_n=6,
+        ),
+        _form(
+            "C", 10,
+            (
+                (0, 1575, -10502, 16589, 9206, -36530, 6396, 27834, -4980, -10083, 945, 1672,
+                 -136, -112, 16),
+                2,
+            ),
+        ),
+        _form("D", 1, ((-1, 2), 4), ((1,), 4)),
+        _form("D", 3, ((1, -4, 4), 8), ((-1, 4, 2), 8)),
+        _form("D", 5, ((-1, 5, -8, 4), 4), ((1, -5, 3, 4, 1), 4)),
+        _form("D", 7, ((17, -96, 192, -160, 48), 16), ((-17, 96, -108, -28, 42, 24, 4), 16)),
+        _form(
+            "D", 9,
+            ((-31, 190, -436, 468, -240, 48), 4),
+            ((31, -190, 283, -52, -98, 2, 22, 8, 1), 4),
+        ),
+    )
+}
 
 
 def b1_second_form(n: int) -> Fraction:

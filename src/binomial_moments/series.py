@@ -122,11 +122,6 @@ def geometric(c: Scalar, order: int) -> TruncatedSeries:
     return TruncatedSeries(order, tuple(coeffs))
 
 
-def coefficient(s: TruncatedSeries, k: int) -> Fraction:
-    """Coefficient of T^k in a truncated series."""
-    return s.coefficient(k)
-
-
 class Polynomial:
     """Univariate polynomial over Rational, dense, lowest degree first.
 

@@ -142,10 +142,9 @@ def check_oracle_vs_theorem(config: VerifyConfig) -> CheckResult:
     return _passfail("oracle-vs-theorem-grid", cases, witness)
 
 
-def check_oracle_vs_corollary(config: VerifyConfig, table=None) -> CheckResult:
-    table = table if table is not None else COROLLARIES
+def check_oracle_vs_corollary(config: VerifyConfig) -> CheckResult:
     cases = 0
-    for (family, m), entry in sorted(table.items()):
+    for (family, m), entry in sorted(COROLLARIES.items()):
         if family not in config.families:
             continue
         for n in range(entry.min_n, config.n_max + 1):
@@ -465,13 +464,13 @@ def check_c_even_sign_evidence() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def run_verification(config: VerifyConfig = VerifyConfig(), corollary_table=None) -> VerifyReport:
+def run_verification(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
     """Run the full invariant suite and return a deterministic report."""
     report = VerifyReport(config)
     add = report.checks.append
 
     add(check_oracle_vs_theorem(config))
-    add(check_oracle_vs_corollary(config, corollary_table))
+    add(check_oracle_vs_corollary(config))
     if "C" in config.families:
         add(check_bracket_form_agreement(config))
     add(check_lambda_identity(config))

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
+
+import pytest
 
 from binomial_moments import moments
 from binomial_moments.cli import main
-from binomial_moments.moments import CorollaryEntry
 
 
 def run(capsys, *argv):
@@ -83,7 +85,7 @@ class TestVerify:
         assert out1 == out2
 
     def test_corrupted_table_fails_with_witness(self, capsys, monkeypatch):
-        broken = CorollaryEntry(1, lambda n: moments.central_binomial(n), "corrupted")
+        broken = replace(moments.COROLLARIES[("A", 2)], numerators=((0, 2),))
         monkeypatch.setitem(moments.COROLLARIES, ("A", 2), broken)
         code, out, err = run(capsys, "verify", "--families", "A", "--m-max", "2", "--n-max", "4")
         assert code == 1
@@ -99,13 +101,6 @@ class TestVerify:
     def test_invalid_config(self, capsys):
         assert run(capsys, "verify", "--families", "Q")[0] == 2
         assert run(capsys, "verify", "--n-max", "0")[0] == 2
-        assert run(capsys, "verify", "--jobs", "0")[0] == 2
-
-    def test_jobs_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("MOMENTS_JOBS", "4")
-        assert run(capsys, "verify", "--m-max", "1", "--n-max", "2")[0] == 0
-        monkeypatch.setenv("MOMENTS_JOBS", "zero")
-        assert run(capsys, "verify", "--m-max", "1", "--n-max", "2")[0] == 2
 
 
 class TestDiscover:
@@ -205,3 +200,52 @@ class TestTable:
         code, out, _ = run(capsys, "table", "--families", "A", "--m-max", "1", "--n-max", "2", "--out", str(path))
         assert code == 0 and out == ""
         assert path.read_text().startswith("family,m,n,value")
+
+
+# Every error path of the command line, with the exit code it must map to.
+# MISSING stands for a path inside a directory that does not exist.
+MISSING = "<missing>"
+ERROR_PATHS = [
+    (["eval", "E", "2", "3"], 2),  # unknown family
+    (["eval", "A", "-1", "3"], 2),  # negative exponent
+    (["eval", "A", "2", "0"], 2),  # size below 1
+    (["eval", "A", "two", "3"], 2),  # not an integer
+    (["eval", "A", "2", "3", "magic"], 2),  # unknown method
+    (["eval", "A", "0", "5", "theorem"], 2),  # closed-form precondition
+    (["eval", "C", "3", "2", "theorem"], 2),  # odd-C guard n > t + 1
+    (["eval", "C", "9", "4", "corollary"], 2),  # printed guard
+    (["eval", "A", "11", "3", "corollary"], 2),  # no printed formula
+    (["eval", "D", "0", "5", "theorem"], 3),  # open case
+    (["eval", "A", "2", "3", "--out", MISSING], 2),  # unwritable output
+    (["verify", "--families", "Q"], 2),
+    (["verify", "--families", ""], 2),
+    (["verify", "--m-max", "-1"], 2),
+    (["verify", "--n-max", "0"], 2),
+    (["verify", "--jobs", "2"], 2),  # removed option
+    (["verify", "--m-max", "0", "--n-max", "1", "--out", MISSING], 2),
+    (["discover", "E", "even", "1"], 2),
+    (["discover", "A", "sideways", "1"], 2),
+    (["discover", "A", "even", "-1"], 2),
+    (["discover", "A", "even", "1", "--out", MISSING], 2),
+    (["table", "--families", "Q"], 2),
+    (["table", "--families", ","], 2),
+    (["table", "--methods", "magic"], 2),
+    (["table", "--methods", ","], 2),
+    (["table", "--m-max", "-1"], 2),
+    (["table", "--n-max", "0"], 2),
+    (["table", "--n-max", "0", "--corollaries"], 2),
+    (["table", "--format", "xml"], 2),
+    (["table", "--seed", "0"], 2),  # removed option
+    (["table", "--jobs", "2"], 2),  # removed option
+    (["table", "--corollaries", "--out", MISSING], 2),
+    ([], 2),  # no subcommand
+]
+
+
+@pytest.mark.parametrize("argv, code", ERROR_PATHS, ids=[" ".join(a) for a, _ in ERROR_PATHS])
+def test_error_path_exit_code(capsys, tmp_path, argv, code):
+    missing = str(tmp_path / "no-such-dir" / "out.txt")
+    got, out, err = run(capsys, *[missing if a == MISSING else a for a in argv])
+    assert got == code
+    assert out == ""
+    assert err.strip() and "Traceback" not in err

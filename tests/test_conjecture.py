@@ -9,7 +9,6 @@ from binomial_moments.conjecture import (
     AnsatzTerm,
     SearchConfig,
     explore_D_even,
-    family_ansatz,
     fit,
     fitting_nodes,
     printed_forms,
@@ -18,7 +17,7 @@ from binomial_moments.conjecture import (
     solve_exact,
 )
 from binomial_moments.errors import DomainError, Inconsistent, SingularSystem
-from binomial_moments.moments import MomentQuery, oracle
+from binomial_moments.moments import MomentQuery, family_ansatz, oracle
 
 F = Fraction
 
@@ -122,7 +121,7 @@ class TestFit:
 class TestRediscovery:
     def test_all_printed_formulas_recovered(self):
         report = rediscover_all(holdout=10)
-        assert len(report.entries) == 37
+        assert len(report.entries) == 41
         for e in report.entries:
             assert e.candidate.status == "verified", e.printed.label
             assert e.candidate.coefficients == e.printed.expected, e.printed.label

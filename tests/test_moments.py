@@ -41,6 +41,12 @@ class TestQueryValidation:
         with pytest.raises(DomainError):
             MomentQuery("A", 1, 0)
 
+    @pytest.mark.parametrize("m, n", [(2.0, 3), (2, 3.0), (True, 3), (2, True), (F(2), 3)])
+    def test_rejects_non_int_exponent_and_size(self, m, n):
+        # a float would leak into the exact sums (A_2.0(3) summed to 48.0)
+        with pytest.raises(DomainError):
+            MomentQuery("A", m, n)
+
 
 class TestOracle:
     def test_known_values(self):
@@ -128,6 +134,13 @@ class TestCorollaryValue:
         for fam, m, entry in guarded:
             t = (m - 1) // 2
             assert entry.min_n == t + 2
+
+    def test_rendered_latex(self):
+        assert COROLLARIES[("A", 2)].latex() == "2^{2n-2}n"
+        assert COROLLARIES[("B", 2)].latex() == r"\chi(n=1)"
+        assert COROLLARIES[("C", 1)].latex() == (
+            r"(-1)^n\frac{2n+1}{8(n-1)}+\genfrac{[}{]}{0pt}{}{2n}{n}\frac{2n-1}{8(n-1)}"
+        )
 
     def test_whole_table_matches_oracle(self):
         for (family, m), entry in sorted(COROLLARIES.items()):

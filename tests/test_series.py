@@ -14,7 +14,6 @@ from binomial_moments.errors import (
 from binomial_moments.series import (
     Polynomial,
     TruncatedSeries,
-    coefficient,
     geometric,
     poly_interpolate,
     series_mul,
@@ -57,12 +56,12 @@ class TestSeriesArithmetic:
         assert geometric(F(9, 4), 2) == S([1, F(9, 4), F(81, 16)])
 
     def test_coefficient(self):
-        assert coefficient(geometric(F(7, 3), 5), 0) == 1
-        assert coefficient(geometric(2, 5), 3) == 8
+        assert geometric(F(7, 3), 5).coefficient(0) == 1
+        assert geometric(2, 5).coefficient(3) == 8
         with pytest.raises(IndexOutOfOrder):
-            coefficient(geometric(2, 5), 6)
+            geometric(2, 5).coefficient(6)
         with pytest.raises(IndexOutOfOrder):
-            coefficient(geometric(2, 5), -1)
+            geometric(2, 5).coefficient(-1)
 
     @given(st.integers(0, 12).flatmap(lambda o: series_pair(o)))
     @settings(max_examples=80, deadline=None)
