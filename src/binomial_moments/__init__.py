@@ -7,8 +7,8 @@ The package is organised by layer:
   generalized binomials, half-integer brackets;
 * :mod:`~binomial_moments.series`     -- truncated formal power series,
   polynomials, exact interpolation;
-* :mod:`~binomial_moments.sigma`      -- complete symmetric functions in three
-  independently implemented forms;
+* :mod:`~binomial_moments.sigma`      -- complete symmetric functions: a
+  one-pass row for production and three independently implemented forms;
 * :mod:`~binomial_moments.moments`    -- the moment families with oracle,
   closed-form, and printed-formula routes; the printed formulas themselves,
   one table of ansatz-plus-coefficient records;
@@ -39,7 +39,7 @@ from .series import (
     poly_interpolate,
     series_mul,
 )
-from .sigma import sigma_explicit, sigma_monomial, sigma_poly, sigma_series
+from .sigma import sigma_explicit, sigma_monomial, sigma_poly, sigma_row, sigma_series
 
 __all__ = [
     "COROLLARIES",
@@ -66,6 +66,7 @@ __all__ = [
     "sigma_explicit",
     "sigma_monomial",
     "sigma_poly",
+    "sigma_row",
     "sigma_series",
 ]
 

@@ -235,6 +235,8 @@ class RediscoveryReport:
 def fitting_nodes(power: int, ansatz: Ansatz, holdout: int, n_start: Optional[int] = None):
     """Sample/holdout nodes: consecutive integers from power+2 (clears every
     printed guard and denominator root), holdout directly after the samples."""
+    if holdout < 0:
+        raise DomainError(f"holdout must be >= 0, got {holdout}")
     n0 = n_start if n_start is not None else power + 2
     excluded = ansatz.excluded_ns()
     if excluded:

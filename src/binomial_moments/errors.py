@@ -13,6 +13,16 @@ class DomainError(MomentsError):
     """An argument is outside the domain of the requested operation."""
 
 
+def require_ints(where: str, **values: object) -> None:
+    """Raise DomainError unless every value is exactly an int.
+
+    bool is an int subclass and a float is inexact; both are rejected.
+    """
+    for name, v in values.items():
+        if type(v) is not int:
+            raise DomainError(f"{where}: {name} must be an int, got {v!r}")
+
+
 class NegativeIndexPole(DomainError):
     """Negative-index factorial extension hit a zero in its denominator."""
 

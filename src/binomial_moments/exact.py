@@ -79,10 +79,18 @@ def binomial(x: Scalar, k: int) -> Fraction:
     return falling(x, k) / math.factorial(k)
 
 
-@lru_cache(maxsize=None)
+# Only brackets outside 0 <= k <= n get here: 131 entries for an m <= 16,
+# n <= 60 table.
+@lru_cache(maxsize=256)
 def _rising_half(n: int) -> Fraction:
-    """rising(1/2, n) for any integer n; never zero, never a pole."""
-    return rising(HALF, n)
+    """rising(1/2, n) for any integer n; never zero, never a pole.
+
+    Closed forms: (1/2)_j = (2j)! / (4^j j!) and (1/2)_{-j} = (-4)^j j! / (2j)!
+    for j >= 0 (the Pochhammer ``rising`` stays as the cross-check).
+    """
+    j = abs(n)
+    num, den = math.factorial(2 * j), 4**j * math.factorial(j)
+    return Fraction(num, den) if n >= 0 else Fraction((-1) ** j * den, num)
 
 
 def bracket(upper: int, lower: int) -> Fraction:
@@ -92,7 +100,14 @@ def bracket(upper: int, lower: int) -> Fraction:
     rising factorial at 1/2, extended to negative j.  Both arguments may
     be any integers: since 1/2 is never a positive integer the extension
     has no poles, so the defining quotient is total.
+
+    For 0 <= k <= n it equals C(2n, 2k) / C(n, k) and is computed that
+    way.  Proof: (1/2)_j = (2j)! / (4^j j!), and in the quotient the powers
+    4^n / (4^k 4^(n-k)) cancel, leaving (2n)! k! (n-k)! / ((2k)! (2n-2k)! n!).
+    Every other index pair takes the Pochhammer quotient.
     """
+    if 0 <= lower <= upper:
+        return Fraction(math.comb(2 * upper, 2 * lower), math.comb(upper, lower))
     return _rising_half(upper) / (_rising_half(lower) * _rising_half(upper - lower))
 
 

@@ -226,6 +226,8 @@ ERROR_PATHS = [
     (["discover", "E", "even", "1"], 2),
     (["discover", "A", "sideways", "1"], 2),
     (["discover", "A", "even", "-1"], 2),
+    (["discover", "A", "even", "1", "--holdout", "-1"], 2),  # closed-form fit
+    (["discover", "D", "even", "1", "--holdout", "-1"], 2),  # open-case search
     (["discover", "A", "even", "1", "--out", MISSING], 2),
     (["table", "--families", "Q"], 2),
     (["table", "--families", ","], 2),

@@ -5,7 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binomial_moments.errors import DomainError, NegativeIndexPole
-from binomial_moments.exact import binomial, bracket, central_binomial, falling, rising
+from binomial_moments.exact import (
+    HALF,
+    _rising_half,
+    binomial,
+    bracket,
+    central_binomial,
+    falling,
+    rising,
+)
 
 F = Fraction
 
@@ -108,6 +116,18 @@ class TestBracket:
     def test_total_on_integers(self, n, k):
         v = bracket(n, k)
         assert v != 0  # a quotient of nonzero half-integer Pochhammers
+
+    @given(u=st.integers(-80, 160), ell=st.integers(-80, 160))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pochhammer_quotient(self, u, ell):
+        # covers the comb form (0 <= l <= u) and the factorial forms of
+        # (1/2)_j for both signs of j
+        assert bracket(u, ell) == rising(HALF, u) / (rising(HALF, ell) * rising(HALF, u - ell))
+
+    @given(j=st.integers(-80, 160))
+    @settings(max_examples=200, deadline=None)
+    def test_rising_half_closed_form(self, j):
+        assert _rising_half(j) == rising(HALF, j)
 
 
 class TestCentralBinomial:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,16 @@ class TestOracle:
         assert oracle(MomentQuery("B", 2, 1)) == 1
         assert oracle(MomentQuery("B", 2, 2)) == 0
 
+    @given(family=st.sampled_from("AB"), m=st.integers(0, 12), n=st.integers(1, 80))
+    @settings(max_examples=100, deadline=None)
+    def test_integer_sum_matches_fraction_reference(self, family, m, n):
+        ref = Fraction(0)
+        for k in range(1, n + 1):
+            term = Fraction(math.comb(2 * n, n - k)) * k**m
+            ref += -term if family == "B" and k % 2 == 0 else term
+        got = oracle(MomentQuery(family, m, n))
+        assert type(got) is Fraction and got == ref
+
     def test_sign_pattern(self):
         # the m = 0 sums pair up: A_0(n) + B_0(n) = 2^(2n-1)
         for n in range(1, 10):
@@ -95,6 +106,15 @@ class TestClosedForm:
                     except (PreconditionViolated, NoClosedFormKnown):
                         continue
                     assert r.value == oracle(q), (family, m, n)
+
+    @pytest.mark.parametrize("n", [100, 150])
+    @pytest.mark.parametrize(
+        "family, m",
+        [(f, m) for f in "ABCD" for m in (1, 2, 7, 8) if (f, m % 2) != ("D", 0)],
+    )
+    def test_matches_oracle_at_large_n(self, family, m, n):
+        q = MomentQuery(family, m, n)
+        assert closed_form(q).value == oracle(q)
 
     def test_even_b_vanishing(self):
         for t in range(1, 5):
@@ -185,6 +205,18 @@ class TestIdentities:
             lambda_check(1, 0)
         with pytest.raises(DomainError):
             lambda_check(-1, 3)
+
+    @pytest.mark.parametrize("m, n", [(True, 3), (1, True), (1.0, 3), (1, 3.0), (F(1), 3)])
+    def test_lambda_check_rejects_non_int(self, m, n):
+        lambda_check(1, 3)  # warm every cache the check reads
+        with pytest.raises(DomainError):
+            lambda_check(m, n)
+
+    @pytest.mark.parametrize("m", [True, 2.0, F(2)])
+    def test_lemma_residual_rejects_non_int(self, m):
+        assert lemma1_residual(1, 1, 2) == 0
+        with pytest.raises(DomainError):
+            lemma1_residual(m, 1, 2)
 
     def test_lemma_residual_examples(self):
         assert lemma1_residual(0, F(5, 3), F(-2)) == 0

@@ -8,11 +8,19 @@ from hypothesis import strategies as st
 from binomial_moments.errors import DenominatorPole, DomainError
 from binomial_moments.exact import falling
 from binomial_moments.series import Polynomial
-from binomial_moments.sigma import sigma_explicit, sigma_monomial, sigma_poly, sigma_series
+from binomial_moments.sigma import (
+    sigma_explicit,
+    sigma_monomial,
+    sigma_poly,
+    sigma_row,
+    sigma_series,
+)
 
 F = Fraction
 
 fractions_y = st.fractions(min_value=-15, max_value=15, max_denominator=8)
+# the closed forms read sigma at integers n and half-integers n - 1/2
+half_integers_y = st.integers(-31, 31).map(lambda k: Fraction(k, 2))
 
 
 def test_top_index_is_one():
@@ -52,6 +60,31 @@ def test_invalid_arguments():
         sigma_series(2, 3, F(1))
     with pytest.raises(DomainError):
         sigma_monomial(-1, 0, F(1))
+    with pytest.raises(DomainError):
+        sigma_row(-1, F(1))
+
+
+@pytest.mark.parametrize("m, ell", [(True, True), (1, True), (2.0, 1), (2, 1.0), (F(2), 1)])
+@pytest.mark.parametrize("route", [sigma_series, sigma_monomial, sigma_explicit])
+def test_rejects_non_int_indices(route, m, ell):
+    with pytest.raises(DomainError):
+        route(m, ell, F(7, 2))
+
+
+def test_rejects_non_int_indices_with_warm_cache():
+    # lru_cache alone would serve True and 2.0 from the entries of 1 and 2
+    assert sigma_series(1, 1, 3) == 1
+    assert sigma_series(2, 1, 3) == 13
+    assert sigma_row(1, 3) == (9, 1)
+    with pytest.raises(DomainError):
+        sigma_series(True, True, 3)
+    with pytest.raises(DomainError):
+        sigma_series(2.0, 1, 3)
+    for m in (True, 1.0):
+        with pytest.raises(DomainError):
+            sigma_row(m, 3)
+    with pytest.raises(DomainError):
+        sigma_poly(True, 0)
 
 
 def test_three_way_agreement_grid():
@@ -78,6 +111,19 @@ def test_three_way_agreement_random(m, data):
     assert a == sigma_monomial(m, ell, y)
     if falling(2 * y, 1 + 2 * ell) != 0:
         assert a == sigma_explicit(m, ell, y)
+
+
+class TestSigmaRow:
+    def test_known_rows(self):
+        assert sigma_row(0, F(5)) == (1,)
+        assert sigma_row(1, F(5)) == (25, 1)
+        assert sigma_row(2, F(5)) == (625, 25 + 16, 1)
+        assert sigma_row(3, F(5))[1] == 1281  # the monomial example above
+
+    @given(m=st.integers(0, 24), y=st.one_of(fractions_y, half_integers_y))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_series(self, m, y):
+        assert sigma_row(m, y) == tuple(sigma_series(m, ell, y) for ell in range(m + 1))
 
 
 class TestSigmaPoly:
