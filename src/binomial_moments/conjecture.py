@@ -10,7 +10,7 @@ formulas (the central binomial C(2n,n), the central bracket [2n,n], a
 power 2^(2n+c), the sign (-1)^n, or 1) -- is defined in ``moments``,
 next to the printed formulas themselves.  This module fits it: the
 unknown polynomial coefficients are linear, so they are determined
-exactly from oracle samples by rational Gaussian elimination and then
+exactly from oracle samples by fraction-free integer elimination and then
 checked on holdout points disjoint from the fit.  A candidate is only
 ``verified`` when every holdout point matches exactly; with no holdout
 it can only be ``underdetermined``.
@@ -25,11 +25,12 @@ never fabricates a result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DomainError, Inconsistent, SingularSystem
+from .errors import DomainError, Inconsistent, SingularSystem, require_rationals
 from .moments import (
     COROLLARIES,
     PREFACTORS,
@@ -93,11 +94,34 @@ def solve_exact(
 ) -> list[Fraction]:
     """Solve a square or overdetermined-consistent system exactly.
 
-    Gauss-Jordan elimination over Rational.  Raises SingularSystem when the
-    columns are dependent (no unique solution) and Inconsistent when extra
-    rows contradict the solution.
+    Entries must be ``int`` or ``Fraction``; anything else raises
+    DomainError.  Each row, rhs included, is first multiplied by the lcm
+    of its denominators: a row scale does not move the solution, and every
+    entry becomes an ``int``.  Bareiss fraction-free elimination (Math.
+    Comp. 22, 1968) then runs in ``int``.  After step c each entry below
+    row c is the minor that borders the leading (c+1) x (c+1) block, so
+    the division by the previous pivot is exact and no gcd is taken.  The
+    pivot is the first nonzero entry at or below the diagonal, as in
+    Gauss-Jordan.  A Bareiss entry is the Gauss entry times the leading
+    minor, which is nonzero, so both raise SingularSystem on the same
+    column.  Back substitution runs on x_j * det, integers by Cramer's
+    rule, and the Fractions are built only at the end.
+
+    Raises SingularSystem when the columns are dependent (no unique
+    solution) and Inconsistent when extra rows contradict the solution.
+    The residual it reports, the Bareiss entry over det times the row
+    scale, is the Schur complement that Gauss-Jordan left in that row.
     """
-    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    rows, scales = [], []
+    for row, b in zip(matrix, rhs):
+        vals = [*row, b]
+        scale = 1
+        for v in vals:
+            if type(v) is not int and type(v) is not Fraction:
+                require_rationals("solve_exact", entry=v)
+            scale = math.lcm(scale, v.denominator)
+        rows.append([v.numerator * (scale // v.denominator) for v in vals])
+        scales.append(scale)
     if len(rows) != len(matrix) or len(rows) != len(rhs):
         raise DomainError("matrix and rhs lengths differ")
     if not rows:
@@ -105,26 +129,36 @@ def solve_exact(
     ncols = len(rows[0]) - 1
     if any(len(r) != ncols + 1 for r in rows):
         raise DomainError("ragged matrix")
-    if len(rows) < ncols:
-        raise SingularSystem(f"{len(rows)} equations for {ncols} unknowns")
+    nrows = len(rows)
+    if nrows < ncols:
+        raise SingularSystem(f"{nrows} equations for {ncols} unknowns")
 
-    r = 0
+    det = 1  # the leading minor of the rows pivoted so far
     for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        piv = next((i for i in range(c, nrows) if rows[i][c]), None)
         if piv is None:
             raise SingularSystem(f"no pivot available for column {c}")
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    for i in range(ncols, len(rows)):
-        if rows[i][ncols] != 0:
-            raise Inconsistent(f"row {i} reduces to 0 = {rows[i][ncols]}")
-    return [rows[i][ncols] for i in range(ncols)]
+        rows[c], rows[piv] = rows[piv], rows[c]
+        scales[c], scales[piv] = scales[piv], scales[c]
+        p, tail = rows[c][c], rows[c][c + 1 :]
+        # Column c of the rows below is left as it is: nothing reads it again.
+        for row in rows[c + 1 :]:
+            f = row[c]
+            if f:
+                row[c + 1 :] = [(p * a - f * b) // det for a, b in zip(row[c + 1 :], tail)]
+            else:
+                row[c + 1 :] = [p * a // det for a in row[c + 1 :]]
+        det = p
+    for i in range(ncols, nrows):
+        if rows[i][ncols]:
+            residual = Fraction(rows[i][ncols], det * scales[i])
+            raise Inconsistent(f"row {i} reduces to 0 = {residual}")
+    x_det = [0] * ncols
+    for i in reversed(range(ncols)):
+        row = rows[i]
+        acc = det * row[ncols] - sum(row[j] * x_det[j] for j in range(i + 1, ncols))
+        x_det[i] = acc // row[i]
+    return [Fraction(v, det) for v in x_det]
 
 
 def fit(

@@ -4,6 +4,8 @@ Everything derives from MomentsError so callers (in particular the CLI)
 can distinguish domain failures from genuine bugs.
 """
 
+from fractions import Fraction
+
 
 class MomentsError(Exception):
     """Base class for all errors raised by this package."""
@@ -21,6 +23,17 @@ def require_ints(where: str, **values: object) -> None:
     for name, v in values.items():
         if type(v) is not int:
             raise DomainError(f"{where}: {name} must be an int, got {v!r}")
+
+
+def require_rationals(where: str, **values: object) -> None:
+    """Raise DomainError unless every value is an int or a Fraction.
+
+    bool, float (NaN included) and every other type are rejected, so no
+    binary approximation ever enters exact arithmetic.
+    """
+    for name, v in values.items():
+        if type(v) is not int and not isinstance(v, Fraction):
+            raise DomainError(f"{where}: {name} must be an int or a Fraction, got {v!r}")
 
 
 class NegativeIndexPole(DomainError):

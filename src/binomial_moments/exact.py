@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .errors import DomainError, NegativeIndexPole
+from .errors import DomainError, NegativeIndexPole, require_ints
 
 Rational = Fraction
 
@@ -32,6 +32,8 @@ def rising(x: Scalar, n: int) -> Fraction:
     Raises NegativeIndexPole when n < 0 and x is one of 1..|n| (the
     extension would divide by zero).
     """
+    if type(n) is not int:
+        require_ints("rising", n=n)
     x = Fraction(x)
     if n >= 0:
         out = Fraction(1)
@@ -53,6 +55,8 @@ def falling(x: Scalar, n: int) -> Fraction:
     For n < 0 extends by 1 / falling(x + |n|, |n|); raises
     NegativeIndexPole when x is one of -1..-|n|.
     """
+    if type(n) is not int:
+        require_ints("falling", n=n)
     x = Fraction(x)
     if n >= 0:
         out = Fraction(1)
@@ -70,6 +74,8 @@ def falling(x: Scalar, n: int) -> Fraction:
 
 def binomial(x: Scalar, k: int) -> Fraction:
     """Generalized binomial coefficient falling(x, k) / k!, with 0 for k < 0."""
+    if type(k) is not int:
+        require_ints("binomial", k=k)
     if k < 0:
         return Fraction(0)
     x = Fraction(x)
@@ -106,6 +112,8 @@ def bracket(upper: int, lower: int) -> Fraction:
     4^n / (4^k 4^(n-k)) cancel, leaving (2n)! k! (n-k)! / ((2k)! (2n-2k)! n!).
     Every other index pair takes the Pochhammer quotient.
     """
+    if type(upper) is not int or type(lower) is not int:
+        require_ints("bracket", upper=upper, lower=lower)
     if 0 <= lower <= upper:
         return Fraction(math.comb(2 * upper, 2 * lower), math.comb(upper, lower))
     return _rising_half(upper) / (_rising_half(lower) * _rising_half(upper - lower))

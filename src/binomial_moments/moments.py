@@ -48,6 +48,7 @@ from .errors import (
     NotTabulated,
     PreconditionViolated,
     require_ints,
+    require_rationals,
 )
 from .exact import HALF, Scalar, binomial, bracket, central_binomial, falling, rising
 from .sigma import sigma_row, sigma_series
@@ -325,6 +326,7 @@ def lemma1_residual(m: int, x: Scalar, y: Scalar) -> Fraction:
     Identically 0 for every m >= 0 and all rational x, y.
     """
     require_ints("lemma1_residual", m=m)
+    require_rationals("lemma1_residual", x=x, y=y)
     if m < 0:
         raise DomainError(f"lemma1_residual requires m >= 0, got {m}")
     x = Fraction(x)

@@ -22,13 +22,14 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations_with_replacement
 
-from .errors import DenominatorPole, DomainError, require_ints
+from .errors import DenominatorPole, DomainError, require_ints, require_rationals
 from .exact import Scalar, binomial, falling
 from .series import Polynomial, geometric, poly_interpolate, series_mul
 
 
-def _check_args(m: int, ell: int) -> None:
+def _check_args(m: int, ell: int, **scalars: Scalar) -> None:
     require_ints("sigma", m=m, l=ell)
+    require_rationals("sigma", **scalars)
     if m < 0 or not 0 <= ell <= m:
         raise DomainError(f"sigma requires 0 <= l <= m, got m={m}, l={ell}")
 
@@ -46,7 +47,7 @@ def sigma_row(m: int, y: Scalar) -> tuple[Fraction, ...]:
     Symmetric Functions and Hall Polynomials, I.2), where terms with l
     outside 0..k-1 are 0 and sigma_{0,0} = 1.
     """
-    _check_args(m, 0)
+    _check_args(m, 0, y=y)
     y = Fraction(y)
     shifts = [(y - j) ** 2 for j in range(m + 1)]
     row = [Fraction(1)]  # sigma_{0,0}
@@ -62,7 +63,7 @@ def sigma_row(m: int, y: Scalar) -> tuple[Fraction, ...]:
 @lru_cache(maxsize=16384, typed=True)
 def sigma_series(m: int, ell: int, y: Scalar) -> Fraction:
     """[T^(m-l)] of the truncated product of geometric((y-j)^2) for j = 0..l."""
-    _check_args(m, ell)
+    _check_args(m, ell, y=y)
     y = Fraction(y)
     prod = reduce(series_mul, (geometric((y - j) ** 2, m) for j in range(ell + 1)))
     return prod.coefficient(m - ell)
@@ -72,7 +73,7 @@ def sigma_monomial(m: int, ell: int, y: Scalar) -> Fraction:
     """Sum over weakly increasing tuples 0 <= k_1 <= ... <= k_{m-l} <= l
     of the products of squared shifts (y - k_i)^2; the empty tuple gives 1.
     """
-    _check_args(m, ell)
+    _check_args(m, ell, y=y)
     y = Fraction(y)
     shifts = [(y - k) ** 2 for k in range(ell + 1)]
     total = Fraction(0)
@@ -89,7 +90,7 @@ def sigma_explicit(m: int, ell: int, y: Scalar) -> Fraction:
     DenominatorPole there (for y = n a positive integer this is the
     condition n > l).
     """
-    _check_args(m, ell)
+    _check_args(m, ell, y=y)
     y = Fraction(y)
     den = falling(2 * y, 1 + 2 * ell)
     if den == 0:

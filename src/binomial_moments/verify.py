@@ -13,6 +13,7 @@ byte-identical.
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -464,31 +465,50 @@ def check_c_even_sign_evidence() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
+def _run_check(name: str, check, *args) -> CheckResult:
+    """Run one check.  An exception it raises fails that check, with
+    "<Type>: <message>" as witness and the raising frame as detail, and
+    leaves the remaining checks to run."""
+    try:
+        return check(*args)
+    except Exception as exc:
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
+        where = f"{os.path.basename(code.co_filename)}:{tb.tb_lineno} in {code.co_name}"
+        return CheckResult(
+            name, "fail", 0, {"error": f"{type(exc).__name__}: {exc}"}, {"raised_at": where}
+        )
+
+
 def run_verification(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
     """Run the full invariant suite and return a deterministic report."""
     report = VerifyReport(config)
-    add = report.checks.append
 
-    add(check_oracle_vs_theorem(config))
-    add(check_oracle_vs_corollary(config))
+    def add(name: str, check, *args) -> None:
+        report.checks.append(_run_check(name, check, *args))
+
+    add("oracle-vs-theorem-grid", check_oracle_vs_theorem, config)
+    add("oracle-vs-corollary-table", check_oracle_vs_corollary, config)
     if "C" in config.families:
-        add(check_bracket_form_agreement(config))
-    add(check_lambda_identity(config))
-    add(check_lemma_residuals(config))
-    add(check_bracket_symmetry())
-    add(check_bracket_recurrence())
-    add(check_bracket_inverse())
-    add(check_sigma_three_way(config))
-    add(check_sigma_poly_shape(config))
-    add(check_series_telescoping(config))
+        add("c-even-two-bracket-forms", check_bracket_form_agreement, config)
+    add("lambda-vanishing-identity", check_lambda_identity, config)
+    add("power-expansion-residual", check_lemma_residuals, config)
+    add("bracket-symmetry", check_bracket_symmetry)
+    add("bracket-recurrence", check_bracket_recurrence)
+    add("bracket-negative-index-inverse", check_bracket_inverse)
+    add("sigma-three-way", check_sigma_three_way, config)
+    add("sigma-poly-shape", check_sigma_poly_shape, config)
+    add("series-telescoping-step", check_series_telescoping, config)
     if "B" in config.families:
-        add(check_b_even_vanishing(config))
+        add("b-even-vanishing", check_b_even_vanishing, config)
     if "C" in config.families:
-        add(check_c_even_parity_shape(config))
-    add(check_warmup_forms(config))
+        add("c-even-parity-shape", check_c_even_parity_shape, config)
+    add("warmup-closed-forms", check_warmup_forms, config)
     if "C" in config.families:
-        add(check_c_odd_argument_evidence())
-        add(check_c_even_sign_evidence())
+        add("variant-evidence-c-odd-sigma-argument", check_c_odd_argument_evidence)
+        add("variant-evidence-c-even-global-sign", check_c_even_sign_evidence)
     if "D" in config.families:
-        add(check_d_odd_sign_evidence())
+        add("variant-evidence-d-odd-sign-placement", check_d_odd_sign_evidence)
     return report

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from binomial_moments import moments
+from binomial_moments import moments, verify
 from binomial_moments.cli import main
 
 
@@ -97,6 +97,42 @@ class TestVerify:
         assert witness["family"] == "A" and witness["m"] == 2
         assert {"n", "lhs", "rhs"} <= set(witness)
         assert "oracle-vs-corollary-table" in err
+
+    def test_raising_check_fails_alone(self, capsys, monkeypatch):
+        args = ("verify", "--m-max", "2", "--n-max", "4", "--seed", "3")
+        _, clean, _ = run(capsys, *args)
+
+        def boom(config):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(verify, "check_lambda_identity", boom)
+        code, out, err = run(capsys, *args)
+        assert code == 1
+        report, before = json.loads(out), json.loads(clean)
+        assert report["all_pass"] is False
+        assert [c["name"] for c in report["checks"]] == [c["name"] for c in before["checks"]]
+        for check, expected in zip(report["checks"], before["checks"]):
+            if check["name"] != "lambda-vanishing-identity":
+                assert check == expected  # every other check still ran
+        failed = next(c for c in report["checks"] if c["name"] == "lambda-vanishing-identity")
+        assert failed["status"] == "fail" and failed["cases"] == 0
+        assert failed["witness"] == {"error": "ZeroDivisionError: boom"}
+        assert failed["details"]["raised_at"].startswith("test_cli.py:")
+        assert "FAIL lambda-vanishing-identity" in err
+
+    def test_raising_checks_keep_their_names(self, monkeypatch):
+        config = verify.VerifyConfig(m_max=1, n_max=2)
+        names = [c.name for c in verify.run_verification(config).checks]
+
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        for attr in dir(verify):
+            if attr.startswith("check_"):
+                monkeypatch.setattr(verify, attr, boom)
+        report = verify.run_verification(config)
+        assert [c.name for c in report.checks] == names
+        assert all(c.status == "fail" for c in report.checks)
 
     def test_invalid_config(self, capsys):
         assert run(capsys, "verify", "--families", "Q")[0] == 2

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binomial_moments import conjecture
 from binomial_moments.conjecture import (
     Ansatz,
     AnsatzTerm,
@@ -67,6 +68,154 @@ class TestSolveExact:
         except SingularSystem:
             return
         assert got == [F(x) for x in sol]
+
+
+def gauss_jordan(matrix, rhs):
+    """Reference solver: Gauss-Jordan elimination over Fraction, with the
+    checks, pivot rule and messages that ``solve_exact`` must reproduce."""
+    rows = [[F(v) for v in row] + [F(b)] for row, b in zip(matrix, rhs)]
+    if len(rows) != len(matrix) or len(rows) != len(rhs):
+        raise DomainError("matrix and rhs lengths differ")
+    if not rows:
+        raise SingularSystem("empty system")
+    ncols = len(rows[0]) - 1
+    if any(len(r) != ncols + 1 for r in rows):
+        raise DomainError("ragged matrix")
+    if len(rows) < ncols:
+        raise SingularSystem(f"{len(rows)} equations for {ncols} unknowns")
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            raise SingularSystem(f"no pivot available for column {c}")
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    for i in range(ncols, len(rows)):
+        if rows[i][ncols] != 0:
+            raise Inconsistent(f"row {i} reduces to 0 = {rows[i][ncols]}")
+    return [rows[i][ncols] for i in range(ncols)]
+
+
+def outcome(solver, matrix, rhs):
+    """The solution list, or the type and message of the error raised."""
+    try:
+        return solver(matrix, rhs)
+    except (DomainError, SingularSystem, Inconsistent) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_as_reference(matrix, rhs):
+    got = outcome(solve_exact, matrix, rhs)
+    assert got == outcome(gauss_jordan, matrix, rhs)
+    if isinstance(got, list):
+        assert all(type(v) is F for v in got)
+    return got
+
+
+# Zeros make pivoting and singularity likely; the last two kinds give
+# numerators and denominators of the size that fitting brackets produce.
+entries = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    st.integers(-(10**40), 10**40),
+    st.builds(F, st.integers(-(10**40), 10**40), st.integers(1, 10**25)),
+)
+
+
+def combine(matrix, sol):
+    return [sum((F(a) * x for a, x in zip(row, sol)), F(0)) for row in matrix]
+
+
+@st.composite
+def systems(draw, kind):
+    k = draw(st.integers(1, 5))
+    rows = k if kind in ("square", "singular") else k + draw(st.integers(1, 3))
+    matrix = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=rows, max_size=rows))
+    if kind == "square":
+        return matrix, draw(st.lists(entries, min_size=rows, max_size=rows))
+    if kind == "singular":
+        # one row a multiple of another, or one column all zero
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        if i != j:
+            factor = draw(entries)
+            matrix[i] = [factor * v for v in matrix[j]]
+        else:
+            matrix = [row[:i] + [0] + row[i + 1 :] for row in matrix]
+        return matrix, draw(st.lists(entries, min_size=rows, max_size=rows))
+    rhs = combine(matrix, draw(st.lists(entries, min_size=k, max_size=k)))
+    if kind == "inconsistent":
+        i = draw(st.integers(0, rows - 1))
+        rhs[i] += draw(entries.filter(bool))
+    return matrix, rhs
+
+
+class TestSolveExactMatchesReference:
+    @pytest.mark.parametrize("kind", ["square", "consistent", "inconsistent", "singular"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_systems(self, kind, data):
+        assert_same_as_reference(*data.draw(systems(kind)))
+
+    def test_each_outcome_is_covered(self):
+        square = [[F(1, 3), 2], [4, F(-5, 7)]]
+        assert combine(square, assert_same_as_reference(square, [1, F(1, 2)])) == [1, F(1, 2)]
+        assert_same_as_reference([[1, 0], [0, 1], [1, 1]], [1, 1, 3]) == (
+            Inconsistent, "row 2 reduces to 0 = 1"
+        )
+        # after a swap: x = 2/3, y = 2, and row 2 leaves 3 - (4/9 + 2/5)
+        assert assert_same_as_reference(
+            [[0, F(1, 2)], [3, 0], [F(2, 3), F(1, 5)], [1, 1]], [1, 2, 3, F(7, 11)]
+        ) == (Inconsistent, "row 2 reduces to 0 = 97/45")
+        assert assert_same_as_reference([[1, 2], [2, 4]], [1, 2]) == (
+            SingularSystem, "no pivot available for column 1"
+        )
+        assert assert_same_as_reference([[0, 1], [0, 2]], [1, 2]) == (
+            SingularSystem, "no pivot available for column 0"
+        )
+        assert assert_same_as_reference([[1, 2]], [1]) == (
+            SingularSystem, "1 equations for 2 unknowns"
+        )
+        assert assert_same_as_reference([], []) == (SingularSystem, "empty system")
+        assert assert_same_as_reference([[1], [2]], [1]) == (
+            DomainError, "matrix and rhs lengths differ"
+        )
+        assert assert_same_as_reference([[1, 2], [3]], [1, 2]) == (DomainError, "ragged matrix")
+        assert assert_same_as_reference([[], []], [0, 0]) == []
+        assert assert_same_as_reference([[], []], [0, F(5, 3)]) == (
+            Inconsistent, "row 1 reduces to 0 = 5/3"
+        )
+
+    def test_replays_every_fitted_system(self, monkeypatch):
+        systems_seen = []
+
+        def recording(matrix, rhs):
+            systems_seen.append((matrix, rhs))
+            return solve_exact(matrix, rhs)
+
+        # fit reaches the solver through the module global
+        monkeypatch.setattr(conjecture, "solve_exact", recording)
+        config = SearchConfig(max_degree=3, max_roots=1)
+        for m in (0, 1):
+            explore_D_even(m, config)
+        rediscover_all()
+        monkeypatch.undo()
+        assert len(systems_seen) == 2 * len(search_catalogue(config)) + len(printed_forms())
+        for matrix, rhs in systems_seen:
+            assert_same_as_reference(matrix, rhs)
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, float("nan"), True, "1/2", None])
+    def test_rejects_inexact_entries(self, bad):
+        with pytest.raises(DomainError):
+            solve_exact([[1, bad], [0, 1]], [1, 2])
+        with pytest.raises(DomainError):
+            solve_exact([[1, 0], [0, 1]], [bad, 2])
 
 
 class TestFit:

@@ -130,6 +130,27 @@ class TestBracket:
         assert _rising_half(j) == rising(HALF, j)
 
 
+class TestIndexTypes:
+    @pytest.mark.parametrize("index", [2.0, True, F(2), "2", None])
+    @pytest.mark.parametrize("route", [rising, falling, binomial])
+    def test_index_must_be_int(self, route, index):
+        with pytest.raises(DomainError):
+            route(F(7, 2), index)
+
+    @pytest.mark.parametrize("upper, lower", [(5, 2.0), (5.0, 2), (True, 0), (4, False), (F(5), 2)])
+    def test_bracket_indices_must_be_int(self, upper, lower):
+        with pytest.raises(DomainError):
+            bracket(upper, lower)
+
+    def test_negative_indices_are_checked_too(self):
+        with pytest.raises(DomainError):
+            rising(F(1, 3), -2.0)
+        with pytest.raises(DomainError):
+            binomial(3, -1.0)
+        with pytest.raises(DomainError):
+            bracket(-3, -1.0)
+
+
 class TestCentralBinomial:
     def test_known_values(self):
         assert central_binomial(0) == 1

@@ -168,6 +168,42 @@ class TestCorollaryValue:
                 assert entry.value(n) == oracle(MomentQuery(family, m, n)), (family, m, n)
 
 
+class TestRoutesAgree:
+    """Inside every printed guard the three routes give one value; below a
+    guard the printed form refuses with GuardViolated."""
+
+    @given(family=st.sampled_from("ABCD"), m=st.integers(0, 12), n=st.integers(1, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_three_routes(self, family, m, n):
+        q = MomentQuery(family, m, n)
+        entry = COROLLARIES.get((family, m))
+        if entry is None:
+            with pytest.raises(NotTabulated):
+                corollary_value(q)
+            return
+        if n < entry.min_n:
+            with pytest.raises(GuardViolated):
+                corollary_value(q)
+            return
+        want = oracle(q)
+        assert corollary_value(q).value == want
+        if m == 0:  # the symmetrised even-power theorem needs exponent >= 2
+            with pytest.raises(PreconditionViolated):
+                closed_form(q)
+        else:
+            assert closed_form(q).value == want
+
+    def test_every_guard_refuses_just_below(self):
+        guarded = [(key, e.min_n) for key, e in COROLLARIES.items() if e.min_n > 1]
+        assert guarded
+        for (family, m), min_n in guarded:
+            with pytest.raises(GuardViolated):
+                corollary_value(MomentQuery(family, m, min_n - 1))
+            assert corollary_value(MomentQuery(family, m, min_n)).value == oracle(
+                MomentQuery(family, m, min_n)
+            )
+
+
 class TestVariantEvidence:
     def test_c_odd_sigma_argument(self):
         for t, n in ((1, 3), (2, 5)):
@@ -217,6 +253,13 @@ class TestIdentities:
         assert lemma1_residual(1, 1, 2) == 0
         with pytest.raises(DomainError):
             lemma1_residual(m, 1, 2)
+
+    @pytest.mark.parametrize(
+        "x, y", [(0.1, 2), (1, float("nan")), (float("nan"), 2), (True, 2), (1, "2"), (1, 2.0)]
+    )
+    def test_lemma_residual_rejects_inexact(self, x, y):
+        with pytest.raises(DomainError):
+            lemma1_residual(1, x, y)
 
     def test_lemma_residual_examples(self):
         assert lemma1_residual(0, F(5, 3), F(-2)) == 0

@@ -71,6 +71,23 @@ def test_rejects_non_int_indices(route, m, ell):
         route(m, ell, F(7, 2))
 
 
+INEXACT_Y = [0.1, 2.0, float("nan"), True, "1/2", None]
+
+
+@pytest.mark.parametrize("y", INEXACT_Y)
+@pytest.mark.parametrize("route", [sigma_series, sigma_monomial, sigma_explicit])
+def test_rejects_inexact_argument(route, y):
+    with pytest.raises(DomainError):
+        route(1, 0, y)
+
+
+@pytest.mark.parametrize("y", INEXACT_Y)
+def test_row_rejects_inexact_argument(y):
+    assert sigma_row(2, 2) == (16, 5, 1)  # warm the typed cache at y = 2
+    with pytest.raises(DomainError):
+        sigma_row(2, y)
+
+
 def test_rejects_non_int_indices_with_warm_cache():
     # lru_cache alone would serve True and 2.0 from the entries of 1 and 2
     assert sigma_series(1, 1, 3) == 1
