@@ -296,16 +296,15 @@ def rediscover_all(holdout: int = 10) -> RediscoveryReport:
 # ---------------------------------------------------------------------------
 
 
+# The two-term shapes of the catalogue, as (prefactor, prefactor) pairs; every
+# prefactor in PREFACTORS also gives the one-term shapes.
+PAIR_SHAPES = (("bracket", "unit"), ("sign", "bracket"), ("sign", "unit"))
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Bounds for the even-D ansatz catalogue."""
 
-    prefactors: tuple[str, ...] = PREFACTORS
-    pair_shapes: tuple[tuple[str, str], ...] = (
-        ("bracket", "unit"),
-        ("sign", "bracket"),
-        ("sign", "unit"),
-    )
     max_degree: int = 4
     max_roots: int = 2
     holdout: int = 10
@@ -329,13 +328,11 @@ def search_catalogue(config: SearchConfig) -> list[Ansatz]:
     """Deterministic, finite catalogue of candidate shapes."""
     out: list[Ansatz] = []
     roots_menu = _root_options(config.max_roots)
-    for pf in config.prefactors:
+    for pf in PREFACTORS:
         for roots in roots_menu:
             for d in range(config.max_degree + 1):
                 out.append(Ansatz((AnsatzTerm(pf, d, roots),)))
-    for p1, p2 in config.pair_shapes:
-        if p1 not in config.prefactors or p2 not in config.prefactors:
-            continue
+    for p1, p2 in PAIR_SHAPES:
         for roots in roots_menu:
             for d in range(config.max_degree + 1):
                 out.append(Ansatz((AnsatzTerm(p1, d, roots), AnsatzTerm(p2, d, roots))))
@@ -359,7 +356,7 @@ def explore_D_even(m: int, config: SearchConfig = SearchConfig()) -> list[Closed
         samples, hold = fitting_nodes(power, ansatz, config.holdout, config.n_start)
         try:
             cand = fit("D", power, ansatz, samples, hold)
-        except (SingularSystem, Inconsistent):
+        except SingularSystem:  # fit solves a square system: never Inconsistent
             continue
         out.append(cand)
     return out

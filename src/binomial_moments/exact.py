@@ -4,7 +4,8 @@ Every scalar in this package is an arbitrary-precision rational.  The
 stdlib ``fractions.Fraction`` already guarantees the invariants we need
 (always in lowest terms, positive denominator, exact arithmetic,
 division by zero raises), so it is used directly and re-exported as
-``Rational``.
+``Rational``.  Arguments must be an int or a Fraction (indices an int);
+anything else, bool and float included, raises ``DomainError``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .errors import DomainError, NegativeIndexPole, require_ints
+from .errors import DomainError, NegativeIndexPole, require_ints, require_rationals
 
 Rational = Fraction
 
@@ -34,6 +35,8 @@ def rising(x: Scalar, n: int) -> Fraction:
     """
     if type(n) is not int:
         require_ints("rising", n=n)
+    if type(x) is not int and type(x) is not Fraction:
+        require_rationals("rising", x=x)
     x = Fraction(x)
     if n >= 0:
         out = Fraction(1)
@@ -57,6 +60,8 @@ def falling(x: Scalar, n: int) -> Fraction:
     """
     if type(n) is not int:
         require_ints("falling", n=n)
+    if type(x) is not int and type(x) is not Fraction:
+        require_rationals("falling", x=x)
     x = Fraction(x)
     if n >= 0:
         out = Fraction(1)
@@ -76,6 +81,8 @@ def binomial(x: Scalar, k: int) -> Fraction:
     """Generalized binomial coefficient falling(x, k) / k!, with 0 for k < 0."""
     if type(k) is not int:
         require_ints("binomial", k=k)
+    if type(x) is not int and type(x) is not Fraction:
+        require_rationals("binomial", x=x)
     if k < 0:
         return Fraction(0)
     x = Fraction(x)
@@ -121,6 +128,8 @@ def bracket(upper: int, lower: int) -> Fraction:
 
 def central_binomial(n: int) -> Fraction:
     """Binomial coefficient (2n choose n) for n >= 0."""
+    if type(n) is not int:
+        require_ints("central_binomial", n=n)
     if n < 0:
         raise DomainError(f"central_binomial requires n >= 0, got {n}")
     return Fraction(math.comb(2 * n, n))

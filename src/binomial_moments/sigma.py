@@ -27,18 +27,15 @@ from .exact import Scalar, binomial, falling
 from .series import Polynomial, geometric, poly_interpolate, series_mul
 
 
-def _check_args(m: int, ell: int, **scalars: Scalar) -> None:
-    require_ints("sigma", m=m, l=ell)
-    require_rationals("sigma", **scalars)
+def _check_args(m: int, ell: int, y: Scalar = 0) -> None:
+    if type(m) is not int or type(ell) is not int:
+        require_ints("sigma", m=m, l=ell)
+    if type(y) is not int and type(y) is not Fraction:
+        require_rationals("sigma", y=y)
     if m < 0 or not 0 <= ell <= m:
         raise DomainError(f"sigma requires 0 <= l <= m, got m={m}, l={ell}")
 
 
-# Both caches are typed: True and 2.0 get no hit on the entries of 1 and 2,
-# so the argument check runs for them even when the cache is warm.  Their
-# sizes sit above the peaks of flagship verify and of the m <= 16, n <= 60
-# table (4287 sigma_series entries, 1080 rows).
-@lru_cache(maxsize=4096, typed=True)
 def sigma_row(m: int, y: Scalar) -> tuple[Fraction, ...]:
     """(sigma_{m,0}(y), ..., sigma_{m,m}(y)) in O(m^2) rational steps.
 
@@ -48,6 +45,15 @@ def sigma_row(m: int, y: Scalar) -> tuple[Fraction, ...]:
     outside 0..k-1 are 0 and sigma_{0,0} = 1.
     """
     _check_args(m, 0, y=y)
+    return _sigma_row(m, y)
+
+
+# sigma_row and sigma_series check their arguments before the cache sees
+# them, so no warm entry answers True or 2.0 and an unhashable y raises
+# DomainError.  The cache sizes sit above the peaks of flagship verify and
+# of the m <= 16, n <= 60 table (4287 sigma_series entries, 1080 rows).
+@lru_cache(maxsize=4096)
+def _sigma_row(m: int, y: Scalar) -> tuple[Fraction, ...]:
     y = Fraction(y)
     shifts = [(y - j) ** 2 for j in range(m + 1)]
     row = [Fraction(1)]  # sigma_{0,0}
@@ -60,10 +66,14 @@ def sigma_row(m: int, y: Scalar) -> tuple[Fraction, ...]:
     return tuple(row)
 
 
-@lru_cache(maxsize=16384, typed=True)
 def sigma_series(m: int, ell: int, y: Scalar) -> Fraction:
     """[T^(m-l)] of the truncated product of geometric((y-j)^2) for j = 0..l."""
     _check_args(m, ell, y=y)
+    return _sigma_series(m, ell, y)
+
+
+@lru_cache(maxsize=16384)
+def _sigma_series(m: int, ell: int, y: Scalar) -> Fraction:
     y = Fraction(y)
     prod = reduce(series_mul, (geometric((y - j) ** 2, m) for j in range(ell + 1)))
     return prod.coefficient(m - ell)

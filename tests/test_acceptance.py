@@ -5,11 +5,13 @@ with the offending grid point in the message.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from binomial_moments.conjecture import rediscover_all
 from binomial_moments.errors import NoClosedFormKnown, PreconditionViolated
@@ -30,6 +32,8 @@ F = Fraction
 
 M_MAX = 8
 N_MAX = 30
+
+TESTS = Path(__file__).resolve().parent
 
 
 def _ok(k, name):
@@ -194,8 +198,18 @@ def test_criterion_10_verify_determinism():
         "--seed",
         "3",
     ]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    # the checkout's src first, so the run needs no installed package
+    path = [str(TESTS.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
     assert json.loads(first.stdout)["all_pass"] is True
     _ok(10, "byte-identical verify reports for identical config and seed")
+
+
+def test_verify_report_matches_pinned_bytes():
+    """The report of the criterion-10 config, byte for byte as pinned."""
+    golden = (TESTS / "verify_report_m3_n8_seed3.json").read_bytes()
+    report = run_verification(VerifyConfig(m_max=3, n_max=8, seed=3))
+    assert json.dumps(report.to_dict(), indent=2).encode() == golden

@@ -22,8 +22,8 @@ def test_every_cache_is_bounded():
     caches = package_caches()
     assert {
         "binomial_moments.exact._rising_half",
-        "binomial_moments.sigma.sigma_row",
-        "binomial_moments.sigma.sigma_series",
+        "binomial_moments.sigma._sigma_row",
+        "binomial_moments.sigma._sigma_series",
         "binomial_moments.moments.oracle",
     } <= set(caches)
     for name, cache in caches.items():

@@ -295,9 +295,6 @@ class TestExploreDEven:
         assert all(c.status == "refuted" for c in cands)
         assert all(c.first_mismatch is not None for c in cands)
 
-    def test_empty_catalogue(self):
-        assert explore_D_even(1, SearchConfig(prefactors=())) == []
-
     def test_family_shapes(self):
         assert family_ansatz("D", "even", 1) is None
         assert family_ansatz("A", "even", 3).unknowns == 4

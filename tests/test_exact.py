@@ -142,6 +142,18 @@ class TestIndexTypes:
         with pytest.raises(DomainError):
             bracket(upper, lower)
 
+    @pytest.mark.parametrize("k", [1, -1])
+    @pytest.mark.parametrize("x", [0.1, 2.0, float("nan"), True, "1/2", None])
+    @pytest.mark.parametrize("route", [rising, falling, binomial])
+    def test_argument_must_be_rational(self, route, x, k):
+        with pytest.raises(DomainError):
+            route(x, k)
+
+    @pytest.mark.parametrize("n", [2.0, True, F(2), "2", None])
+    def test_central_binomial_index_must_be_int(self, n):
+        with pytest.raises(DomainError):
+            central_binomial(n)
+
     def test_negative_indices_are_checked_too(self):
         with pytest.raises(DomainError):
             rising(F(1, 3), -2.0)

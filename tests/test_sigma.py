@@ -71,7 +71,7 @@ def test_rejects_non_int_indices(route, m, ell):
         route(m, ell, F(7, 2))
 
 
-INEXACT_Y = [0.1, 2.0, float("nan"), True, "1/2", None]
+INEXACT_Y = [0.1, 2.0, float("nan"), True, "1/2", None, [1]]
 
 
 @pytest.mark.parametrize("y", INEXACT_Y)
@@ -83,7 +83,7 @@ def test_rejects_inexact_argument(route, y):
 
 @pytest.mark.parametrize("y", INEXACT_Y)
 def test_row_rejects_inexact_argument(y):
-    assert sigma_row(2, 2) == (16, 5, 1)  # warm the typed cache at y = 2
+    assert sigma_row(2, 2) == (16, 5, 1)  # warm the cache at y = 2
     with pytest.raises(DomainError):
         sigma_row(2, y)
 
