@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from typing import Optional, Sequence
 
 from .conjecture import SearchConfig, explore_D_even, fit, fitting_nodes, search_catalogue
@@ -340,6 +341,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _full_int_printing():
+    """Lift the interpreter's limit on int -> str digits (4300 by default
+    since Python 3.11 and 3.10.7) for one command, so that an exact value
+    prints in full however large n is, and restore it afterwards."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -347,7 +364,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with _full_int_printing():
+            return args.func(args)
     except NoClosedFormKnown as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

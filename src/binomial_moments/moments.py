@@ -41,7 +41,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import (
-    ConsistencyError,
     DomainError,
     GuardViolated,
     NoClosedFormKnown,
@@ -161,12 +160,14 @@ def odd_moment_b(t: int, n: int) -> Fraction:
 
 
 def even_moment_c(t: int, n: int, global_sign: bool = True) -> Fraction:
-    """C_{2t}(n) via two equivalent bracket forms, computed and compared, t >= 1.
+    """C_{2t}(n) from the second printed bracket form, t >= 1.
 
-    Summand (argument y = n - 1/2 throughout):
+    Summand (argument y = n - 1/2):
 
-        form 1: (4n-2l+1)/(4n-4l-2) * falling(2n-1/2, 2l) / [2n-l+1, l+1] * sigma_{t,l}(y)
-        form 2: (1/2)_l (1/2)_{l+1} / (2n-2l-1) * [2n, l] * sigma_{t,l}(y)
+        (1/2)_l (1/2)_{l+1} / (2n-2l-1) * [2n, l] * sigma_{t,l}(y)
+
+    The first printed form is ``c_even_first_form``; only the verify check
+    ``c-even-two-bracket-forms`` evaluates it and compares the two.
 
     The sign convention is switchable: ``global_sign=True`` multiplies the
     whole sum by (-1)^n (the reading that matches the oracle everywhere,
@@ -174,33 +175,17 @@ def even_moment_c(t: int, n: int, global_sign: bool = True) -> Fraction:
     """
     y = Fraction(2 * n - 1, 2)
     row = sigma_row(t, y)
-    f1 = Fraction(0)
-    f2 = Fraction(0)
+    total = Fraction(0)
     for ell in range(t + 1):
-        s = row[ell]
-        common = falling(y + n, 2 * ell)  # falling(2n - 1/2, 2l)
-        term1 = (
-            Fraction(4 * n - 2 * ell + 1, 4 * n - 4 * ell - 2)
-            * common
-            / bracket(2 * n - ell + 1, ell + 1)
-            * s
-        )
-        term2 = (
+        term = (
             rising(HALF, ell)
             * rising(HALF, ell + 1)
             / (2 * n - 2 * ell - 1)
             * bracket(2 * n, ell)
-            * s
+            * row[ell]
         )
-        sgn = 1 if global_sign else (-1) ** ell
-        f1 += sgn * term1
-        f2 += sgn * term2
-    if global_sign:
-        f1 *= (-1) ** n
-        f2 *= (-1) ** n
-    if f1 != f2:
-        raise ConsistencyError(f"bracket forms disagree at t={t}, n={n}: {f1} vs {f2}")
-    return f2
+        total += term if global_sign or ell % 2 == 0 else -term
+    return (-1) ** n * total if global_sign else total
 
 
 def odd_moment_c(t: int, n: int, shifted_sigma: bool = True) -> Fraction:
@@ -731,6 +716,27 @@ COROLLARIES: dict[tuple[str, int], PrintedForm] = {
 def b1_second_form(n: int) -> Fraction:
     """Alternative printed shape of the m = 1 alternating sum: C(2n-2, n-1)."""
     return Fraction(binomial(2 * n - 2, n - 1))
+
+
+def c_even_first_form(t: int, n: int) -> Fraction:
+    """First printed bracket form of C_{2t}(n), t >= 1, with the global sign:
+
+        (-1)^n sum_l (4n-2l+1)/(4n-4l-2) * falling(2n-1/2, 2l) / [2n-l+1, l+1]
+            * sigma_{t,l}(n - 1/2)
+
+    It equals ``even_moment_c`` (the second form), which verify checks.
+    """
+    y = Fraction(2 * n - 1, 2)
+    row = sigma_row(t, y)
+    total = Fraction(0)
+    for ell in range(t + 1):
+        total += (
+            Fraction(4 * n - 2 * ell + 1, 4 * n - 4 * ell - 2)
+            * falling(y + n, 2 * ell)  # falling(2n - 1/2, 2l)
+            / bracket(2 * n - ell + 1, ell + 1)
+            * row[ell]
+        )
+    return (-1) ** n * total
 
 
 def corollary_value(q: MomentQuery) -> EvalResult:

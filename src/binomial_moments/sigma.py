@@ -13,18 +13,20 @@ from the complete-homogeneous recurrence, which the closed forms in
 ``sigma_explicit`` are the three routes above, implemented
 independently; their agreement with each other is enforced by tests and
 by the verify command, and with ``sigma_row`` by the tests.
+``sigma_series`` also builds a whole row per (m, y), from one running
+product of geometric series, because its callers read every l at one y.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .errors import DenominatorPole, DomainError, require_ints, require_rationals
 from .exact import Scalar, binomial, falling
-from .series import Polynomial, geometric, poly_interpolate, series_mul
+from .series import Polynomial, TruncatedSeries, geometric, poly_interpolate, series_mul
 
 
 def _check_args(m: int, ell: int, y: Scalar = 0) -> None:
@@ -50,8 +52,9 @@ def sigma_row(m: int, y: Scalar) -> tuple[Fraction, ...]:
 
 # sigma_row and sigma_series check their arguments before the cache sees
 # them, so no warm entry answers True or 2.0 and an unhashable y raises
-# DomainError.  The cache sizes sit above the peaks of flagship verify and
-# of the m <= 16, n <= 60 table (4287 sigma_series entries, 1080 rows).
+# DomainError.  Both caches hold one row per (m, y); 4096 rows sit above
+# the peaks of flagship verify (862 sigma_series rows) and of the
+# m <= 16, n <= 60 table (1080 sigma_row rows).
 @lru_cache(maxsize=4096)
 def _sigma_row(m: int, y: Scalar) -> tuple[Fraction, ...]:
     y = Fraction(y)
@@ -69,14 +72,22 @@ def _sigma_row(m: int, y: Scalar) -> tuple[Fraction, ...]:
 def sigma_series(m: int, ell: int, y: Scalar) -> Fraction:
     """[T^(m-l)] of the truncated product of geometric((y-j)^2) for j = 0..l."""
     _check_args(m, ell, y=y)
-    return _sigma_series(m, ell, y)
+    return _sigma_series(m, y)[ell]
 
 
-@lru_cache(maxsize=16384)
-def _sigma_series(m: int, ell: int, y: Scalar) -> Fraction:
+@lru_cache(maxsize=4096)
+def _sigma_series(m: int, y: Scalar) -> tuple[Fraction, ...]:
+    # One running product P_l = P_{l-1} * geometric((y-l)^2), cut to order
+    # m - l at each step because entry l only reads its T^(m-l) coefficient.
     y = Fraction(y)
-    prod = reduce(series_mul, (geometric((y - j) ** 2, m) for j in range(ell + 1)))
-    return prod.coefficient(m - ell)
+    prod = geometric(y**2, m)
+    row = [prod.coefficient(m)]
+    for j in range(1, m + 1):
+        prod = series_mul(
+            TruncatedSeries.from_coeffs(prod.coeffs, m - j), geometric((y - j) ** 2, m - j)
+        )
+        row.append(prod.coefficient(m - j))
+    return tuple(row)
 
 
 def sigma_monomial(m: int, ell: int, y: Scalar) -> Fraction:

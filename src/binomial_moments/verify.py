@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import moments
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError, require_ints
 from .exact import HALF, bracket, central_binomial, falling, rising
 from .moments import (
     COROLLARIES,
@@ -57,6 +57,7 @@ class VerifyConfig:
     def __post_init__(self) -> None:
         if not self.families or any(f not in FAMILIES for f in self.families):
             raise DomainError(f"families must be a nonempty subset of {FAMILIES}")
+        require_ints("VerifyConfig", m_max=self.m_max, n_max=self.n_max, seed=self.seed)
         if self.m_max < 0:
             raise DomainError(f"m_max must be >= 0, got {self.m_max}")
         if self.n_max < 1:
@@ -156,10 +157,11 @@ def check_bracket_form_agreement(config: VerifyConfig) -> Found:
     cases = 0
     for t in range(1, config.m_max // 2 + 1):
         for n in range(1, config.n_max + 1):
-            try:
-                even_moment_c(t, n)  # compares both forms internally
-            except ConsistencyError as exc:
-                return cases, {"t": t, "n": n, "error": str(exc)}
+            f1 = moments.c_even_first_form(t, n)
+            f2 = even_moment_c(t, n)
+            if f1 != f2:
+                error = f"bracket forms disagree at t={t}, n={n}: {f1} vs {f2}"
+                return cases, {"t": t, "n": n, "error": error}
             cases += 1
     return cases, None
 

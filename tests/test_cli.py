@@ -1,10 +1,13 @@
 import json
+import math
+import sys
 from dataclasses import replace
 
 import pytest
 
 from binomial_moments import moments, verify
 from binomial_moments.cli import main
+from binomial_moments.errors import DomainError
 
 
 def run(capsys, *argv):
@@ -50,6 +53,16 @@ class TestEval:
         assert code == 0
         assert out == ""
         assert path.read_text() == "9\n"
+
+    def test_value_past_the_int_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(capsys, "eval", "A", "1", "8000", "theorem")
+        assert code == 0
+        expected = math.comb(16000, 8000) * 4000  # A_1(n) = C(2n, n) n / 2
+        digits = out.strip()
+        assert len(digits) > 4300 and len(digits) == math.floor(math.log10(expected)) + 1
+        assert digits[-40:] == f"{expected % 10**40:040d}"
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestVerify:
@@ -134,9 +147,45 @@ class TestVerify:
         assert [c.name for c in report.checks] == names
         assert all(c.status == "fail" for c in report.checks)
 
+    def test_bracket_form_disagreement_fails_with_witness(self, capsys, monkeypatch):
+        first_form = moments.c_even_first_form
+
+        def corrupted(t, n):
+            return first_form(t, n) + (1 if (t, n) == (1, 3) else 0)
+
+        monkeypatch.setattr(moments, "c_even_first_form", corrupted)
+        code, out, err = run(capsys, "verify", "--families", "C", "--m-max", "2", "--n-max", "4")
+        assert code == 1
+        report = json.loads(out)
+        check = next(c for c in report["checks"] if c["name"] == "c-even-two-bracket-forms")
+        f2 = moments.even_moment_c(1, 3)
+        assert check["status"] == "fail" and check["cases"] == 2
+        assert check["witness"] == {
+            "t": 1,
+            "n": 3,
+            "error": f"bracket forms disagree at t=1, n=3: {f2 + 1} vs {f2}",
+        }
+        assert "c-even-two-bracket-forms" in err
+
     def test_invalid_config(self, capsys):
         assert run(capsys, "verify", "--families", "Q")[0] == 2
         assert run(capsys, "verify", "--n-max", "0")[0] == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("families", ("Q",)),
+            ("m_max", -1),
+            ("n_max", 0),
+            ("m_max", 2.5),
+            ("n_max", 4.0),
+            ("m_max", True),
+            ("seed", 1.5),
+        ],
+    )
+    def test_invalid_config_object(self, field, value):
+        with pytest.raises(DomainError):
+            verify.VerifyConfig(**{field: value})
 
 
 class TestDiscover:

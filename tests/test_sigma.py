@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binomial_moments import sigma
 from binomial_moments.errors import DenominatorPole, DomainError
 from binomial_moments.exact import falling
 from binomial_moments.series import Polynomial
@@ -15,6 +16,7 @@ from binomial_moments.sigma import (
     sigma_row,
     sigma_series,
 )
+from binomial_moments.verify import VerifyConfig, check_sigma_three_way
 
 F = Fraction
 
@@ -128,6 +130,27 @@ def test_three_way_agreement_random(m, data):
     assert a == sigma_monomial(m, ell, y)
     if falling(2 * y, 1 + 2 * ell) != 0:
         assert a == sigma_explicit(m, ell, y)
+
+
+def test_series_caches_one_row_per_m_and_y():
+    sigma._sigma_series.cache_clear()
+    assert [sigma_series(3, ell, F(5)) for ell in range(4)] == [15625, 1281, 50, 1]
+    assert sigma_series(3, 1, 5) == 1281  # an int y hits the Fraction entry
+    info = sigma._sigma_series.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+
+
+def test_cross_check_routes_do_not_read_sigma_row(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a cross-check route read sigma_row")
+
+    monkeypatch.setattr(sigma, "_sigma_row", refuse)
+    monkeypatch.setattr(sigma, "sigma_row", refuse)
+    sigma._sigma_series.cache_clear()
+    assert sigma_series(3, 1, F(5)) == 1281
+    assert sigma_monomial(3, 1, F(5)) == 1281
+    assert sigma_explicit(3, 1, F(5)) == 1281
+    assert check_sigma_three_way(VerifyConfig(m_max=3, n_max=1)) == (850, None)
 
 
 class TestSigmaRow:
