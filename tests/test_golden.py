@@ -1,0 +1,68 @@
+"""Golden bytes for the printed-formula renderers and the ansatz fitter.
+
+Each file under ``tests/golden`` is the exact stdout of one ``moments``
+command, trailing newline included, so a change to how a formula is
+stored, evaluated or rendered must leave these bytes as they are.  The
+rediscovery report is pinned by its sha256 digest instead of a 41 KB
+file.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from binomial_moments.cli import main
+from binomial_moments.conjecture import rediscover_all
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# sha256 of json.dumps(rediscover_all().to_dict(), indent=2), 41047 bytes.
+REDISCOVERY_SHA256 = "79404565b855609f7e7522c51e69e460da7afb7274076b80210abd31239740d6"
+
+
+def stdout_of(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    return captured.out.encode()
+
+
+@pytest.mark.parametrize(
+    "fmt, suffix", [("json", "json"), ("csv", "csv"), ("markdown", "md"), ("latex", "tex")]
+)
+def test_corollary_table(capsys, fmt, suffix):
+    out = stdout_of(capsys, "table", "--corollaries", "--m-max", "16", "--format", fmt)
+    assert out == (GOLDEN / f"corollaries_m16.{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "family, parity, m",
+    [
+        ("A", "even", 0),
+        ("A", "even", 3),
+        ("B", "even", 0),
+        ("B", "odd", 4),
+        ("C", "even", 5),
+        ("C", "odd", 2),
+        ("C", "odd", 6),
+        ("D", "odd", 4),
+        ("D", "odd", 6),
+        ("B", "even", 9),
+    ],
+)
+def test_closed_form_discover(capsys, family, parity, m):
+    out = stdout_of(capsys, "discover", family, parity, str(m))
+    assert out == (GOLDEN / f"discover_{family}_{parity}_{m}.json").read_bytes()
+
+
+def test_open_case_search(capsys):
+    argv = ("discover", "D", "even", "1", "--max-degree", "1", "--max-roots", "1")
+    out = stdout_of(capsys, *argv)
+    assert out == (GOLDEN / "discover_D_even_1_deg1_roots1.json").read_bytes()
+
+
+def test_rediscovery_report_digest():
+    text = json.dumps(rediscover_all().to_dict(), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == REDISCOVERY_SHA256
