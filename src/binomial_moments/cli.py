@@ -21,7 +21,14 @@ import sys
 from contextlib import contextmanager
 from typing import Optional, Sequence
 
-from .conjecture import SearchConfig, explore_D_even, fit, fitting_nodes, search_catalogue
+from .conjecture import (
+    RediscoveryEntry,
+    SearchConfig,
+    explore_D_even,
+    fit,
+    fitting_nodes,
+    search_catalogue,
+)
 from .errors import MomentsError, NoClosedFormKnown
 from .moments import (
     COROLLARIES,
@@ -148,11 +155,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
         "mode": "closed-form-fit",
         "candidate": candidate.to_dict(),
         "expected": [str(c) for c in printed.expected] if printed else None,
-        "matches_printed": (
-            candidate.status == "verified" and candidate.coefficients == printed.expected
-        )
-        if printed
-        else None,
+        "matches_printed": RediscoveryEntry(printed, candidate).ok if printed else None,
         "note": printed.region_note if printed else None,
     }
     _emit(json.dumps(payload, indent=2), args.out)
@@ -308,10 +311,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run the exact invariant suite")
-    p_verify.add_argument("--families", default="A,B,C,D")
-    p_verify.add_argument("--m-max", type=int, default=8)
-    p_verify.add_argument("--n-max", type=int, default=30)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--families", default=",".join(VerifyConfig.families))
+    p_verify.add_argument("--m-max", type=int, default=VerifyConfig.m_max)
+    p_verify.add_argument("--n-max", type=int, default=VerifyConfig.n_max)
+    p_verify.add_argument("--seed", type=int, default=VerifyConfig.seed)
     p_verify.add_argument("--out", help="write the JSON report to this file")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -319,18 +322,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_disc.add_argument("family", help="A, B, C or D")
     p_disc.add_argument("parity", help="even or odd")
     p_disc.add_argument("m", type=int, help="half exponent: power is 2m (even) or 2m+1 (odd)")
-    p_disc.add_argument("--max-degree", type=int, default=4)
-    p_disc.add_argument("--max-roots", type=int, default=2)
-    p_disc.add_argument("--holdout", type=int, default=10)
-    p_disc.add_argument("--n-start", type=int, default=None)
+    p_disc.add_argument("--max-degree", type=int, default=SearchConfig.max_degree)
+    p_disc.add_argument("--max-roots", type=int, default=SearchConfig.max_roots)
+    p_disc.add_argument("--holdout", type=int, default=SearchConfig.holdout)
+    p_disc.add_argument("--n-start", type=int, default=SearchConfig.n_start)
     p_disc.add_argument("--out", help="write the JSON report to this file")
     p_disc.set_defaults(func=cmd_discover)
 
     p_table = sub.add_parser("table", help="value grids or the printed-formula table")
-    p_table.add_argument("--families", default="A,B,C,D")
+    p_table.add_argument("--families", default=",".join(FAMILIES))
     p_table.add_argument("--m-max", type=int, default=8)
     p_table.add_argument("--n-max", type=int, default=30)
-    p_table.add_argument("--methods", default="oracle,theorem,corollary")
+    p_table.add_argument("--methods", default=",".join(METHODS))
     p_table.add_argument("--format", default="csv", choices=FORMATS)
     p_table.add_argument(
         "--corollaries", action="store_true", help="emit the printed-formula table"

@@ -26,11 +26,11 @@ never fabricates a result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DomainError, Inconsistent, SingularSystem, require_rationals
+from .errors import DomainError, Inconsistent, SingularSystem, require_ints, require_rationals
 from .moments import (
     COROLLARIES,
     PREFACTORS,
@@ -58,10 +58,7 @@ class ClosedFormCandidate:
     first_mismatch: Optional[int] = None
 
     def value_at(self, n: int) -> Fraction:
-        return sum(
-            (c * b for c, b in zip(self.coefficients, self.ansatz.basis_at(n))),
-            Fraction(0),
-        )
+        return sum((t.value(cs, n) for t, cs in self.term_coefficients()), Fraction(0))
 
     def term_coefficients(self) -> list[tuple[AnsatzTerm, tuple[Fraction, ...]]]:
         out = []
@@ -205,12 +202,8 @@ def fit(
         return cand
     for n in verify_pts:
         if cand.value_at(n) != oracle(MomentQuery(family, power, n)):
-            return ClosedFormCandidate(
-                family, power, ansatz, coeffs, tuple(fitted), tuple(verify_pts), "refuted", n
-            )
-    return ClosedFormCandidate(
-        family, power, ansatz, coeffs, tuple(fitted), tuple(verify_pts), "verified"
-    )
+            return replace(cand, status="refuted", first_mismatch=n)
+    return replace(cand, status="verified")
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +259,16 @@ class RediscoveryReport:
         }
 
 
+# Verification points after the fitted ones, for refits and the even-D search.
+HOLDOUT = 10
+
+
 def fitting_nodes(power: int, ansatz: Ansatz, holdout: int, n_start: Optional[int] = None):
     """Sample/holdout nodes: consecutive integers from power+2 (clears every
     printed guard and denominator root), holdout directly after the samples."""
+    require_ints("fitting_nodes", power=power, holdout=holdout)
+    if n_start is not None:
+        require_ints("fitting_nodes", n_start=n_start)
     if holdout < 0:
         raise DomainError(f"holdout must be >= 0, got {holdout}")
     n0 = n_start if n_start is not None else power + 2
@@ -281,7 +281,7 @@ def fitting_nodes(power: int, ansatz: Ansatz, holdout: int, n_start: Optional[in
     return samples, hold
 
 
-def rediscover_all(holdout: int = 10) -> RediscoveryReport:
+def rediscover_all(holdout: int = HOLDOUT) -> RediscoveryReport:
     """Refit every printed formula from oracle data; compare coefficients."""
     report = RediscoveryReport()
     for pf in printed_forms():
@@ -307,10 +307,14 @@ class SearchConfig:
 
     max_degree: int = 4
     max_roots: int = 2
-    holdout: int = 10
+    holdout: int = HOLDOUT
     n_start: Optional[int] = None
 
     def __post_init__(self) -> None:
+        require_ints("SearchConfig", max_degree=self.max_degree, max_roots=self.max_roots)
+        require_ints("SearchConfig", holdout=self.holdout)
+        if self.n_start is not None:
+            require_ints("SearchConfig", n_start=self.n_start)
         if self.max_degree < 0 or self.max_roots < 0 or self.holdout < 0:
             raise DomainError("search bounds must be >= 0")
 
@@ -348,6 +352,7 @@ def explore_D_even(m: int, config: SearchConfig = SearchConfig()) -> list[Closed
     genuine (conjectural) discovery; an empty or fully refuted list is the
     expected outcome.
     """
+    require_ints("explore_D_even", m=m)
     if m < 0:
         raise DomainError(f"half exponent must be >= 0, got {m}")
     power = 2 * m

@@ -23,7 +23,12 @@ The printed formulas live in one table, ``COROLLARIES``: each entry is a
 prefactor(n) * poly(n) / prod(a*n + b)) with exact coefficients.  Its
 value, its LaTeX and the coefficients that ``conjecture`` must recover
 when it refits the formula from oracle data all derive from that record.
-How formulas are fitted lives in ``conjecture``.
+The prefactor vocabulary -- 1, (-1)^n, C(2n,n), [2n,n] and 2^(2n+c) -- is
+one table, ``_PREFACTOR``, that gives each prefactor's value, plain text
+and LaTeX.  ``AnsatzTerm.value`` evaluates one term at given
+coefficients; a printed formula and a fitted candidate
+(``conjecture.ClosedFormCandidate.value_at``) are both evaluated through
+it.  How formulas are fitted lives in ``conjecture``.
 
 Two of the closed-form identities admit more than one plausible reading
 (a shifted vs unshifted symmetric-function argument for odd C, and a
@@ -332,10 +337,20 @@ def lemma1_residual(m: int, x: Scalar, y: Scalar) -> Fraction:
 # ansatz records; see the module docstring.
 # ---------------------------------------------------------------------------
 
-PREFACTORS = ("unit", "sign", "central", "bracket", "power2")
+# Each prefactor as (value at n and shift c, plain text, LaTeX).  In both
+# texts "{c}" stands for the shift c of 2^(2n+c): "" when c = 0, else signed.
+# The even-D catalogue walks PREFACTORS in this order.
+_PREFACTOR = {
+    "unit": (lambda n, c: Fraction(1), "1", ""),
+    "sign": (lambda n, c: Fraction(-1 if n % 2 else 1), "(-1)^n", "(-1)^n"),
+    "central": (lambda n, c: central_binomial(n), "binom(2n,n)", r"\binom{2n}{n}"),
+    "bracket": (lambda n, c: bracket(2 * n, n), "[2n,n]", r"\genfrac{[}{]}{0pt}{}{2n}{n}"),
+    "power2": (lambda n, c: Fraction(2) ** (2 * n + c), "2^(2n{c})", "2^{2n{c}}"),
+}
+PREFACTORS = tuple(_PREFACTOR)
 
 
-def _poly_str(coeffs: Sequence[Scalar], var: str = "n") -> str:
+def _poly_str(coeffs: Sequence[Scalar]) -> str:
     parts = []
     for i, c in enumerate(coeffs):
         if c == 0:
@@ -343,9 +358,9 @@ def _poly_str(coeffs: Sequence[Scalar], var: str = "n") -> str:
         if i == 0:
             parts.append(str(c))
         elif i == 1:
-            parts.append(f"{c}*{var}")
+            parts.append(f"{c}*n")
         else:
-            parts.append(f"{c}*{var}^{i}")
+            parts.append(f"{c}*n^{i}")
     return " + ".join(parts) if parts else "0"
 
 
@@ -361,19 +376,22 @@ class AnsatzTerm:
     def __post_init__(self) -> None:
         if self.prefactor not in PREFACTORS:
             raise DomainError(f"unknown prefactor {self.prefactor!r}")
+        require_ints("AnsatzTerm", degree=self.degree, shift=self.shift)
         if self.degree < 0:
             raise DomainError(f"degree must be >= 0, got {self.degree}")
+        for a, b in self.roots:
+            require_ints("AnsatzTerm", root_a=a, root_b=b)
+            if a == 0:
+                raise DomainError(f"a root a*n + b needs a != 0, got {(a, b)}")
 
     def prefactor_value(self, n: int) -> Fraction:
-        if self.prefactor == "unit":
-            return Fraction(1)
-        if self.prefactor == "sign":
-            return Fraction(-1 if n % 2 else 1)
-        if self.prefactor == "central":
-            return central_binomial(n)
-        if self.prefactor == "bracket":
-            return bracket(2 * n, n)
-        return Fraction(2) ** (2 * n + self.shift)
+        return _PREFACTOR[self.prefactor][0](n, self.shift)
+
+    def prefactor_texts(self) -> tuple[str, str]:
+        """The prefactor as (plain text, LaTeX), with its shift filled in."""
+        _, text, tex = _PREFACTOR[self.prefactor]
+        c = f"{self.shift:+d}" if self.shift else ""
+        return text.replace("{c}", c), tex.replace("{c}", c)
 
     def root_product(self, n: int) -> int:
         out = 1
@@ -381,23 +399,21 @@ class AnsatzTerm:
             out *= a * n + b
         return out
 
+    def value(self, coeffs: Sequence[Scalar], n: int, den: int = 1) -> Fraction:
+        """prefactor(n) * poly(n) / (den * roots(n)), poly's coefficients lowest degree first."""
+        return self.prefactor_value(n) * Fraction(_horner(coeffs, n), den * self.root_product(n))
+
     def excluded_ns(self) -> set[int]:
         """Positive integers where a denominator root vanishes."""
         out = set()
         for a, b in self.roots:
-            if a != 0 and (-b) % a == 0 and -b // a >= 1:
+            if (-b) % a == 0 and -b // a >= 1:
                 out.add(-b // a)
         return out
 
     def describe(self, coeffs: Optional[Sequence[Fraction]] = None) -> str:
         """The term's shape in plain text, or the term itself given its coefficients."""
-        pf = {
-            "unit": "1",
-            "sign": "(-1)^n",
-            "central": "binom(2n,n)",
-            "bracket": "[2n,n]",
-            "power2": f"2^(2n{self.shift:+d})" if self.shift else "2^(2n)",
-        }[self.prefactor]
+        pf = self.prefactor_texts()[0]
         poly = f"poly(deg<={self.degree})" if coeffs is None else f"({_poly_str(coeffs)})"
         s = f"{pf} * {poly}"
         if self.roots:
@@ -479,7 +495,7 @@ def family_ansatz(family: str, parity: str, t: int) -> Optional[Ansatz]:
     return None
 
 
-def _horner(coeffs: tuple[int, ...], n: int) -> int:
+def _horner(coeffs: Sequence[Scalar], n: int) -> Scalar:
     out = 0
     for c in reversed(coeffs):
         out = out * n + c
@@ -501,14 +517,6 @@ def _poly_tex(coeffs: Sequence[int]) -> str:
     return text.lstrip("+") or "0"
 
 
-_PREFACTOR_TEX = {
-    "unit": "",
-    "sign": "(-1)^n",
-    "central": r"\binom{2n}{n}",
-    "bracket": r"\genfrac{[}{]}{0pt}{}{2n}{n}",
-}
-
-
 def _term_tex(term: AnsatzTerm, num: tuple[int, ...], den: int) -> str:
     """One nonzero term, led by its sign: prefactor * num(n) / (den * roots(n))."""
     low = next(i for i, c in enumerate(num) if c)
@@ -521,10 +529,7 @@ def _term_tex(term: AnsatzTerm, num: tuple[int, ...], den: int) -> str:
         text = f"{_power_tex(low)}({_poly_tex(rest)})"
     else:
         text = _poly_tex(rest)
-    if term.prefactor == "power2":
-        pf = f"2^{{2n{term.shift:+d}}}" if term.shift else "2^{2n}"
-    else:
-        pf = _PREFACTOR_TEX[term.prefactor]
+    pf = term.prefactor_texts()[1]
     lead = "-" if sign < 0 else "+"
     if den != 1 or term.roots:
         below = (str(den) if den != 1 else "") + "".join(
@@ -588,7 +593,7 @@ class PrintedForm:
     def _ansatz_value(self, n: int) -> Fraction:
         total = Fraction(0)
         for term, num, den in zip(self.ansatz.terms, self.numerators, self.denominators):
-            total += term.prefactor_value(n) * Fraction(_horner(num, n), den * term.root_product(n))
+            total += term.value(num, n, den)
         return total
 
     def value(self, n: int) -> Fraction:

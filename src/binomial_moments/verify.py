@@ -55,8 +55,11 @@ class VerifyConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.families or any(f not in FAMILIES for f in self.families):
-            raise DomainError(f"families must be a nonempty subset of {FAMILIES}")
+        fams = self.families
+        if type(fams) is not tuple or not fams or any(f not in FAMILIES for f in fams):
+            raise DomainError(f"families must be a nonempty tuple from {FAMILIES}, got {fams!r}")
+        if len(set(fams)) != len(fams):
+            raise DomainError(f"families must be distinct, got {fams!r}")
         require_ints("VerifyConfig", m_max=self.m_max, n_max=self.n_max, seed=self.seed)
         if self.m_max < 0:
             raise DomainError(f"m_max must be >= 0, got {self.m_max}")

@@ -175,6 +175,9 @@ class TestVerify:
         "field, value",
         [
             ("families", ("Q",)),
+            ("families", "AB"),
+            ("families", ["A", "B"]),
+            ("families", ("A", "A")),
             ("m_max", -1),
             ("n_max", 0),
             ("m_max", 2.5),

@@ -267,6 +267,54 @@ class TestFit:
         assert a == b
 
 
+class TestInputDomain:
+    """The fitter's entry points take exact ints; every refusal is a DomainError."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: search_catalogue(SearchConfig(max_degree=2.5)), id="max_degree"),
+            pytest.param(lambda: SearchConfig(max_roots=True), id="max_roots"),
+            pytest.param(lambda: explore_D_even(0, SearchConfig(holdout=1.5)), id="holdout"),
+            pytest.param(lambda: explore_D_even(0, SearchConfig(n_start=2.5)), id="n_start"),
+            pytest.param(
+                lambda: fitting_nodes(2, Ansatz((AnsatzTerm("unit", 0),)), 2.0),
+                id="fitting_nodes-holdout",
+            ),
+            pytest.param(
+                lambda: fitting_nodes(2, Ansatz((AnsatzTerm("unit", 0),)), 2, 3.0),
+                id="fitting_nodes-n_start",
+            ),
+            pytest.param(lambda: rediscover_all(2.5), id="rediscover-float"),
+            pytest.param(lambda: rediscover_all(True), id="rediscover-bool"),
+            pytest.param(lambda: explore_D_even(1.5), id="explore-float"),
+            pytest.param(lambda: explore_D_even(True), id="explore-bool"),
+        ],
+    )
+    def test_rejects_non_int_bounds(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"degree": 1.5},
+            {"degree": True},
+            {"shift": 0.5},
+            {"roots": ((1.0, -1),)},
+            {"roots": ((1, False),)},
+            {"roots": ((0, 3),)},
+        ],
+    )
+    def test_ansatz_term_rejects(self, fields):
+        with pytest.raises(DomainError):
+            AnsatzTerm("unit", **{"degree": 0, **fields})
+
+    def test_root_with_zero_slope_is_refused_before_fitting(self):
+        with pytest.raises(DomainError):
+            fit("A", 1, Ansatz((AnsatzTerm("unit", 0, roots=((0, 0),)),)), [3], [4])
+
+
 class TestRediscovery:
     def test_all_printed_formulas_recovered(self):
         report = rediscover_all(holdout=10)
