@@ -2,7 +2,8 @@
 
 Each file under ``tests/golden`` is the exact stdout of one ``moments``
 command, trailing newline included, so a change to how a formula is
-stored, evaluated or rendered must leave these bytes as they are.  The
+stored, evaluated or rendered, or to how ``verify`` computes its checks,
+must leave these bytes as they are.  The
 rediscovery report is pinned by its sha256 digest instead of a 41 KB
 file.
 """
@@ -61,6 +62,11 @@ def test_open_case_search(capsys):
     argv = ("discover", "D", "even", "1", "--max-degree", "1", "--max-roots", "1")
     out = stdout_of(capsys, *argv)
     assert out == (GOLDEN / "discover_D_even_1_deg1_roots1.json").read_bytes()
+
+
+def test_flagship_verify_report(capsys):
+    out = stdout_of(capsys, "verify", "--m-max", "8", "--n-max", "30", "--seed", "0")
+    assert out == (GOLDEN / "verify_m8_n30_seed0.json").read_bytes()
 
 
 def test_rediscovery_report_digest():
