@@ -5,6 +5,12 @@ Rational, cut off at a fixed order M: only coefficients of T^0..T^M are
 stored and arithmetic never looks past index M.  Polynomials are dense
 coefficient lists (lowest degree first) in canonical form.  Both are
 immutable value objects.
+
+Every entry takes coefficients and arguments that are an int or a
+Fraction (orders, exponents and indices an int) and raises DomainError
+for anything else, bool, float and str included, so no binary value
+enters the arithmetic.  The type is tested first and ``require_*`` is
+called only to raise, which keeps the internal constructions cheap.
 """
 
 from __future__ import annotations
@@ -19,8 +25,19 @@ from .errors import (
     DuplicateAbscissa,
     IndexOutOfOrder,
     OrderMismatch,
+    require_ints,
+    require_rationals,
 )
 from .exact import Scalar
+
+
+def _rational(where: str, name: str, v: Scalar) -> Fraction:
+    """v as a Fraction; DomainError naming it unless it is an int or a Fraction."""
+    if type(v) is Fraction:
+        return v
+    if type(v) is not int:
+        require_rationals(where, **{name: v})
+    return Fraction(v)
 
 
 @dataclass(frozen=True)
@@ -31,6 +48,12 @@ class TruncatedSeries:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        if type(self.order) is not int:
+            require_ints("TruncatedSeries", order=self.order)
+        cs = self.coeffs
+        if type(cs) is not tuple or not all(type(c) is Fraction for c in cs):
+            cs = tuple(_rational("TruncatedSeries", "coefficient", c) for c in cs)
+            object.__setattr__(self, "coeffs", cs)
         if self.order < 0:
             raise DomainError(f"series order must be >= 0, got {self.order}")
         if len(self.coeffs) != self.order + 1:
@@ -42,7 +65,9 @@ class TruncatedSeries:
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[Scalar], order: int) -> "TruncatedSeries":
         """Build a series from a coefficient sequence, padding with zeros."""
-        cs = [Fraction(c) for c in coeffs]
+        if type(order) is not int:
+            require_ints("TruncatedSeries.from_coeffs", order=order)
+        cs = [_rational("TruncatedSeries.from_coeffs", "coefficient", c) for c in coeffs]
         if len(cs) > order + 1:
             cs = cs[: order + 1]
         cs += [Fraction(0)] * (order + 1 - len(cs))
@@ -50,11 +75,13 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, c: Scalar, order: int) -> "TruncatedSeries":
-        return cls.from_coeffs([Fraction(c)], order)
+        return cls.from_coeffs([c], order)
 
     @classmethod
     def monomial(cls, k: int, order: int) -> "TruncatedSeries":
         """The series T^k (the zero series when k exceeds the order)."""
+        if type(k) is not int or type(order) is not int:
+            require_ints("TruncatedSeries.monomial", k=k, order=order)
         if k < 0:
             raise DomainError(f"monomial exponent must be >= 0, got {k}")
         cs = [Fraction(0)] * (order + 1)
@@ -64,6 +91,8 @@ class TruncatedSeries:
 
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of T^k; raises IndexOutOfOrder outside 0..order."""
+        if type(k) is not int:
+            require_ints("TruncatedSeries.coefficient", k=k)
         if not 0 <= k <= self.order:
             raise IndexOutOfOrder(f"coefficient index {k} outside 0..{self.order}")
         return self.coeffs[k]
@@ -93,7 +122,7 @@ class TruncatedSeries:
         return self.scale(other)
 
     def scale(self, c: Scalar) -> "TruncatedSeries":
-        c = Fraction(c)
+        c = _rational("TruncatedSeries.scale", "c", c)
         return TruncatedSeries(self.order, tuple(c * a for a in self.coeffs))
 
 
@@ -115,7 +144,9 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 def geometric(c: Scalar, order: int) -> TruncatedSeries:
     """Truncation of 1/(1 - cT): coefficient of T^k is c^k."""
-    c = Fraction(c)
+    if type(order) is not int:
+        require_ints("geometric", order=order)
+    c = _rational("geometric", "c", c)
     coeffs = [Fraction(1)]
     for _ in range(order):
         coeffs.append(coeffs[-1] * c)
@@ -132,7 +163,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Scalar] = (0,)):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_rational("Polynomial", "coefficient", c) for c in coeffs]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         if not cs:
@@ -151,7 +182,7 @@ class Polynomial:
         return self.coeffs == (Fraction(0),)
 
     def __call__(self, x: Scalar) -> Fraction:
-        x = Fraction(x)
+        x = _rational("Polynomial", "x", x)
         out = Fraction(0)
         for c in reversed(self.coeffs):
             out = out * x + c
@@ -190,7 +221,7 @@ class Polynomial:
         return self.scale(other)
 
     def scale(self, c: Scalar) -> "Polynomial":
-        c = Fraction(c)
+        c = _rational("Polynomial.scale", "c", c)
         return Polynomial([c * a for a in self.coeffs])
 
     def __repr__(self) -> str:
@@ -219,9 +250,14 @@ def poly_interpolate(
     distinct; any points beyond the first degree_bound+1 must lie on the
     resulting polynomial, otherwise ConsistencyError is raised.
     """
+    if type(degree_bound) is not int:
+        require_ints("poly_interpolate", degree_bound=degree_bound)
     if degree_bound < 0:
         raise DomainError(f"degree bound must be >= 0, got {degree_bound}")
-    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    pts = [
+        (_rational("poly_interpolate", "x", x), _rational("poly_interpolate", "y", y))
+        for x, y in points
+    ]
     seen = set()
     for x, _ in pts:
         if x in seen:

@@ -15,6 +15,15 @@ independently; their agreement with each other is enforced by tests and
 by the verify command, and with ``sigma_row`` by the tests.
 ``sigma_series`` also builds a whole row per (m, y), from one running
 product of geometric series, because its callers read every l at one y.
+
+``sigma_monomial`` and ``sigma_explicit`` sum in int over a common
+denominator and build one Fraction at the end, not one per product.
+For y = p/q in lowest terms each squared shift is (p - kq)^2 / q^2, and
+sigma_{m,l} is homogeneous of degree m-l in them, so every monomial has
+denominator q^(2(m-l)).  In the explicit sum every factor is likewise an
+int over a power of q (the binomials also over a factorial), so its
+common denominator is l! q^(2m-l) D with D = prod_{j<=2l} (2p - jq) the
+int numerator of falling(2y, 1+2l); the pole is D = 0.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .errors import DenominatorPole, DomainError, require_ints, require_rationals
-from .exact import Scalar, binomial, falling
+from .exact import Scalar
 from .series import Polynomial, TruncatedSeries, geometric, poly_interpolate, series_mul
 
 
@@ -93,35 +102,50 @@ def _sigma_series(m: int, y: Scalar) -> tuple[Fraction, ...]:
 def sigma_monomial(m: int, ell: int, y: Scalar) -> Fraction:
     """Sum over weakly increasing tuples 0 <= k_1 <= ... <= k_{m-l} <= l
     of the products of squared shifts (y - k_i)^2; the empty tuple gives 1.
+
+    Every product has m - l factors, so for y = p/q in lowest terms it is
+    an int over q^(2(m-l)): each shift is (p - kq)^2 / q^2.  The sum runs
+    over those int numerators and one Fraction is built at the end.
     """
     _check_args(m, ell, y=y)
-    y = Fraction(y)
-    shifts = [(y - k) ** 2 for k in range(ell + 1)]
-    total = Fraction(0)
+    p, q = y.numerator, y.denominator
+    shifts = [(p - k * q) ** 2 for k in range(ell + 1)]
+    total = 0
     for tup in combinations_with_replacement(range(ell + 1), m - ell):
-        total += math.prod((shifts[k] for k in tup), start=Fraction(1))
-    return total
+        total += math.prod(shifts[k] for k in tup)
+    return Fraction(total, q ** (2 * (m - ell)))
 
 
 def sigma_explicit(m: int, ell: int, y: Scalar) -> Fraction:
     """Single-sum form 2(-1)^l / falling(2y, 1+2l) * sum_i binomial(2y, i)
     * binomial(2l-2y, l-i) * (y-i)^(1+2m).
 
-    Only valid away from the zeros of falling(2y, 1+2l); raises
-    DenominatorPole there (for y = n a positive integer this is the
-    condition n > l).
+    For y = p/q in lowest terms every factor is an int over a power of q:
+    binomial(2y, i) = A_i / (q^i i!) with A_i = prod_{j<i} (2p - jq),
+    binomial(2l-2y, l-i) = B_i / (q^(l-i) (l-i)!) with
+    B_i = prod_{j<l-i} (2lq - 2p - jq), (y-i)^(1+2m) = (p-iq)^(1+2m) /
+    q^(1+2m) and falling(2y, 1+2l) = D / q^(1+2l) with
+    D = prod_{j<=2l} (2p - jq).  So the value is
+    2(-1)^l sum_i C(l, i) A_i B_i (p-iq)^(1+2m) / (l! q^(2m-l) D), summed
+    in int with one Fraction built at the end.
+
+    Only valid away from the zeros of falling(2y, 1+2l), that is D = 0;
+    raises DenominatorPole there (for y = n a positive integer this is
+    the condition n > l).
     """
     _check_args(m, ell, y=y)
-    y = Fraction(y)
-    den = falling(2 * y, 1 + 2 * ell)
+    p, q = y.numerator, y.denominator
+    den = math.prod(2 * p - j * q for j in range(1 + 2 * ell))
     if den == 0:
         raise DenominatorPole(
             f"sigma_explicit({m}, {ell}, {y}): falling({2 * y}, {1 + 2 * ell}) = 0"
         )
-    total = Fraction(0)
+    total = 0
     for i in range(ell + 1):
-        total += binomial(2 * y, i) * binomial(2 * ell - 2 * y, ell - i) * (y - i) ** (1 + 2 * m)
-    return 2 * (-1) ** ell * total / den
+        a = math.prod(2 * p - j * q for j in range(i))
+        b = math.prod(2 * ell * q - 2 * p - j * q for j in range(ell - i))
+        total += math.comb(ell, i) * a * b * (p - i * q) ** (1 + 2 * m)
+    return Fraction(2 * (-1) ** ell * total, math.factorial(ell) * q ** (2 * m - ell) * den)
 
 
 def sigma_poly(m: int, ell: int) -> Polynomial:

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -110,6 +111,25 @@ class TestVerify:
         assert witness["family"] == "A" and witness["m"] == 2
         assert {"n", "lhs", "rhs"} <= set(witness)
         assert "oracle-vs-corollary-table" in err
+
+    @pytest.mark.parametrize("route", ["sigma_monomial", "sigma_explicit"])
+    def test_broken_sigma_route_fails_three_way(self, capsys, monkeypatch, route):
+        correct = getattr(verify, route)
+
+        def off_by_one_power_of_q(m, ell, y):
+            # the route's common denominator q^e with e one too large
+            return correct(m, ell, y) / Fraction(y).denominator
+
+        monkeypatch.setattr(verify, route, off_by_one_power_of_q)
+        code, out, err = run(capsys, "verify", "--m-max", "3", "--n-max", "4")
+        assert code == 1
+        report = json.loads(out)
+        assert [c["name"] for c in report["checks"] if c["status"] == "fail"] == ["sigma-three-way"]
+        witness = next(c for c in report["checks"] if c["name"] == "sigma-three-way")["witness"]
+        key = route.removeprefix("sigma_")
+        assert set(witness) == {"m", "l", "y", "series", key}
+        assert witness[key] != witness["series"]
+        assert "FAIL sigma-three-way" in err
 
     def test_raising_check_fails_alone(self, capsys, monkeypatch):
         args = ("verify", "--m-max", "2", "--n-max", "4", "--seed", "3")

@@ -142,3 +142,51 @@ class TestInterpolation:
         got = poly_interpolate(pts, bound)
         assert got == p
         assert all(got(x) == y for x, y in pts)
+
+
+ONE = S([1, 0, 0])
+
+# Each entry called with one argument that is not exact: a float (binary
+# value), a bool, a str that Fraction would parse, or a float index.
+INEXACT_CALLS = {
+    "geometric float c": lambda: geometric(0.1, 2),
+    "geometric str c": lambda: geometric("1/2", 2),
+    "geometric bool c": lambda: geometric(True, 2),
+    "geometric float order": lambda: geometric(1, 2.5),
+    "geometric float-valued order": lambda: geometric(1, 2.0),
+    "from_coeffs float coefficients": lambda: TruncatedSeries.from_coeffs([0.5, 2.5], 2),
+    "from_coeffs str coefficient": lambda: TruncatedSeries.from_coeffs(["1/2"], 2),
+    "from_coeffs float order": lambda: TruncatedSeries.from_coeffs([1], 2.0),
+    "constructor float and str coefficients": lambda: TruncatedSeries(1, (0.5, "x")),
+    "constructor bool coefficient": lambda: TruncatedSeries(1, (F(1), True)),
+    "constructor float order": lambda: TruncatedSeries(2.0, (F(1), F(0), F(0))),
+    "constructor bool order": lambda: TruncatedSeries(True, (F(1), F(0))),
+    "constant float": lambda: TruncatedSeries.constant(0.5, 2),
+    "monomial bool exponent": lambda: TruncatedSeries.monomial(True, 2),
+    "monomial float order": lambda: TruncatedSeries.monomial(1, 2.0),
+    "coefficient float index": lambda: ONE.coefficient(1.0),
+    "scale float": lambda: ONE.scale(0.5),
+    "series times float": lambda: ONE * 0.5,
+    "float times series": lambda: 0.5 * ONE,
+    "polynomial float coefficient": lambda: Polynomial([0.1]),
+    "polynomial bool coefficient": lambda: Polynomial([1, False]),
+    "polynomial at float": lambda: Polynomial([1, 2])(0.5),
+    "polynomial scale str": lambda: Polynomial([1]).scale("2"),
+    "interpolate float points": lambda: poly_interpolate([(0.5, 1), (1, 2.5)], 1),
+    "interpolate float degree bound": lambda: poly_interpolate([(0, 1), (1, 2)], 1.0),
+}
+
+
+@pytest.mark.parametrize("call", INEXACT_CALLS.values(), ids=INEXACT_CALLS.keys())
+def test_entries_reject_inexact_arguments(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_int_coefficients_are_stored_as_fractions():
+    series = TruncatedSeries(1, (1, F(1, 2)))
+    assert series.coeffs == (F(1), F(1, 2))
+    assert all(type(c) is F for c in series.coeffs)
+    assert series == TruncatedSeries.from_coeffs([1, F(1, 2)], 1)
+    assert all(type(c) is F for c in Polynomial([1, 2]).coeffs)
+    assert type(Polynomial([1, 2])(3)) is F

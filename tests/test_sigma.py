@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from binomial_moments import sigma
 from binomial_moments.errors import DenominatorPole, DomainError
-from binomial_moments.exact import falling
+from binomial_moments.exact import binomial, falling
 from binomial_moments.series import Polynomial
 from binomial_moments.sigma import (
     sigma_explicit,
@@ -151,6 +152,67 @@ def test_cross_check_routes_do_not_read_sigma_row(monkeypatch):
     assert sigma_monomial(3, 1, F(5)) == 1281
     assert sigma_explicit(3, 1, F(5)) == 1281
     assert check_sigma_three_way(VerifyConfig(m_max=3, n_max=1)) == (850, None)
+
+
+def monomial_reference(m, ell, y):
+    """Reference for ``sigma_monomial``: the same enumeration with one
+    Fraction per product."""
+    y = Fraction(y)
+    shifts = [(y - k) ** 2 for k in range(ell + 1)]
+    total = Fraction(0)
+    for tup in itertools.combinations_with_replacement(range(ell + 1), m - ell):
+        total += math.prod((shifts[k] for k in tup), start=Fraction(1))
+    return total
+
+
+def explicit_reference(m, ell, y):
+    """Reference for ``sigma_explicit``: the single sum over Fraction
+    binomials, with the pole test and message the route must reproduce."""
+    y = Fraction(y)
+    den = falling(2 * y, 1 + 2 * ell)
+    if den == 0:
+        raise DenominatorPole(
+            f"sigma_explicit({m}, {ell}, {y}): falling({2 * y}, {1 + 2 * ell}) = 0"
+        )
+    total = Fraction(0)
+    for i in range(ell + 1):
+        total += binomial(2 * y, i) * binomial(2 * ell - 2 * y, ell - i) * (y - i) ** (1 + 2 * m)
+    return 2 * (-1) ** ell * total / den
+
+
+def outcome(route, *args):
+    try:
+        value = route(*args)
+    except DenominatorPole as exc:
+        return ("pole", str(exc))
+    return ("value", value, type(value))
+
+
+# Large numerators and denominators, negative values, and the half-integer
+# poles of the explicit form (2y in 0..2l).
+wide_y = st.one_of(
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**4)),
+    st.integers(-21, 41).map(lambda k: Fraction(k, 2)),
+    st.integers(-(10**6), 10**6),
+)
+
+
+@given(m=st.integers(0, 10), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_int_routes_match_fraction_references(m, data):
+    ell = data.draw(st.integers(0, m))
+    y = data.draw(wide_y)
+    assert outcome(sigma_monomial, m, ell, y) == outcome(monomial_reference, m, ell, y)
+    assert outcome(sigma_explicit, m, ell, y) == outcome(explicit_reference, m, ell, y)
+
+
+def test_int_routes_match_references_at_every_pole():
+    for m in range(0, 6):
+        for ell in range(0, m + 1):
+            for y in [Fraction(k, 2) for k in range(-4, 2 * ell + 3)]:
+                got = outcome(sigma_explicit, m, ell, y)
+                assert got == outcome(explicit_reference, m, ell, y)
+                assert (got[0] == "pole") == (0 <= 2 * y <= 2 * ell)
 
 
 class TestSigmaRow:
