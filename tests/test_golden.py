@@ -1,11 +1,12 @@
-"""Golden bytes for the printed-formula renderers and the ansatz fitter.
+"""Golden bytes for the printed-formula renderers, the ansatz fitter and
+the value tables.
 
 Each file under ``tests/golden`` is the exact stdout of one ``moments``
 command, trailing newline included, so a change to how a formula is
 stored, evaluated or rendered, or to how ``verify`` computes its checks,
 must leave these bytes as they are.  The
-rediscovery report is pinned by its sha256 digest instead of a 41 KB
-file.
+rediscovery report and the m <= 16, n <= 60 value tables are pinned by
+their sha256 digests instead of files of 41 KB and about 0.5 MB each.
 """
 
 import hashlib
@@ -21,6 +22,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # sha256 of json.dumps(rediscover_all().to_dict(), indent=2), 41047 bytes.
 REDISCOVERY_SHA256 = "79404565b855609f7e7522c51e69e460da7afb7274076b80210abd31239740d6"
+
+# sha256 of the stdout of `moments table --m-max 16 --n-max 60 --methods M
+# --format json`, 574266 bytes (oracle) and 526836 bytes (theorem).
+TABLE_M16_N60_SHA256 = {
+    "oracle": "c12c8b239fb3d49e90d4ab3c1fcd7c1fb11dd30013ef1a253824e8992f56179a",
+    "theorem": "8d620390a03ada2447cb2d23c36791958b94234ae79e65e1a1de2f8a3be9b41a",
+}
 
 
 def stdout_of(capsys, *argv):
@@ -67,6 +75,20 @@ def test_open_case_search(capsys):
 def test_flagship_verify_report(capsys):
     out = stdout_of(capsys, "verify", "--m-max", "8", "--n-max", "30", "--seed", "0")
     assert out == (GOLDEN / "verify_m8_n30_seed0.json").read_bytes()
+
+
+@pytest.mark.parametrize("method", ["oracle", "theorem"])
+def test_value_table(capsys, method):
+    argv = ("table", "--m-max", "8", "--n-max", "30", "--methods", method, "--format", "csv")
+    out = stdout_of(capsys, *argv)
+    assert out == (GOLDEN / f"table_{method}_m8_n30.csv").read_bytes()
+
+
+@pytest.mark.parametrize("method", sorted(TABLE_M16_N60_SHA256))
+def test_large_value_table_digest(capsys, method):
+    argv = ("table", "--m-max", "16", "--n-max", "60", "--methods", method, "--format", "json")
+    out = stdout_of(capsys, *argv)
+    assert hashlib.sha256(out).hexdigest() == TABLE_M16_N60_SHA256[method]
 
 
 def test_rediscovery_report_digest():
