@@ -6,6 +6,12 @@ stdlib ``fractions.Fraction`` already guarantees the invariants we need
 division by zero raises), so it is used directly and re-exported as
 ``Rational``.  Arguments must be an int or a Fraction (indices an int);
 anything else, bool and float included, raises ``DomainError``.
+
+The Pochhammer symbols build one Fraction per returned value.  For
+x = p/q in lowest terms and n >= 0, x(x+1)...(x+n-1) is the int product
+of p + iq over q^n (p - iq for the falling one), so the factors are
+multiplied as ints and the quotient is normalised once; a product of
+Fractions would take a gcd at every factor (Knuth, TAOCP Vol. 2, 4.5.1).
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ HALF = Fraction(1, 2)
 def rising(x: Scalar, n: int) -> Fraction:
     """Rising factorial x(x+1)...(x+n-1), with the empty product equal to 1.
 
+    For n >= 0 and x = p/q in lowest terms this is prod_{i<n} (p + iq) / q^n.
+
     For n < 0 the value is extended by 1 / rising(x - |n|, |n|), the unique
     choice satisfying rising(x, a+b) = rising(x, a) * rising(x+a, b).
 
@@ -37,12 +45,12 @@ def rising(x: Scalar, n: int) -> Fraction:
         require_ints("rising", n=n)
     if type(x) is not int and type(x) is not Fraction:
         require_rationals("rising", x=x)
-    x = Fraction(x)
     if n >= 0:
-        out = Fraction(1)
-        for i in range(n):
-            out *= x + i
-        return out
+        if type(x) is int:
+            return Fraction(math.prod(range(x, x + n)))
+        p, q = x.numerator, x.denominator
+        return Fraction(math.prod(p + i * q for i in range(n)), q**n)
+    x = Fraction(x)
     k = -n
     den = rising(x - k, k)
     if den == 0:
@@ -55,6 +63,8 @@ def rising(x: Scalar, n: int) -> Fraction:
 def falling(x: Scalar, n: int) -> Fraction:
     """Falling factorial x(x-1)...(x-n+1); empty product 1.
 
+    For n >= 0 and x = p/q in lowest terms this is prod_{i<n} (p - iq) / q^n.
+
     For n < 0 extends by 1 / falling(x + |n|, |n|); raises
     NegativeIndexPole when x is one of -1..-|n|.
     """
@@ -62,12 +72,12 @@ def falling(x: Scalar, n: int) -> Fraction:
         require_ints("falling", n=n)
     if type(x) is not int and type(x) is not Fraction:
         require_rationals("falling", x=x)
-    x = Fraction(x)
     if n >= 0:
-        out = Fraction(1)
-        for i in range(n):
-            out *= x - i
-        return out
+        if type(x) is int:
+            return Fraction(math.prod(range(x, x - n, -1)))
+        p, q = x.numerator, x.denominator
+        return Fraction(math.prod(p - i * q for i in range(n)), q**n)
+    x = Fraction(x)
     k = -n
     den = falling(x + k, k)
     if den == 0:

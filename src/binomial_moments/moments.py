@@ -93,16 +93,27 @@ class EvalResult:
 def oracle(q: MomentQuery) -> Fraction:
     """Evaluate the defining sum directly with exact arithmetic.
 
-    A and B have integer summands, so their sum stays an ``int`` until the
-    final conversion.
+    The sum runs in ``int`` over one common denominator den and builds a
+    single Fraction at the end.  A and B have integer summands (den = 1).
+    For C and D, den = (2n-1)!! clears every bracket.  Proof: with
+    (1/2)_j = (2j-1)!! / 2^j, [2n, n-k] = (4n-1)!! / ((2n-2k-1)!! (2n+2k-1)!!),
+    so (2n-1)!! [2n, n-k] = prod_{i<k} (2n-1-2i) * prod_{odd j=2n+2k+1}^{4n-1} j,
+    an integer.  Each bracket thus adds its numerator times
+    den // its denominator.
     """
     f, m, n = q.family, q.m, q.n
+    ab = f in ("A", "B")
+    den = 1 if ab else math.prod(range(1, 2 * n, 2))
     total = 0
     for k in range(1, n + 1):
-        w = math.comb(2 * n, n - k) if f in ("A", "B") else bracket(2 * n, n - k)
+        if ab:
+            w = math.comb(2 * n, n - k)
+        else:
+            b = bracket(2 * n, n - k)
+            w = b.numerator * (den // b.denominator)
         term = w * k**m
         total += -term if f in ("B", "C") and k % 2 == 0 else term
-    return Fraction(total)
+    return Fraction(total, den)
 
 
 # ---------------------------------------------------------------------------

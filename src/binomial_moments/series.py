@@ -11,10 +11,20 @@ Fraction (orders, exponents and indices an int) and raises DomainError
 for anything else, bool, float and str included, so no binary value
 enters the arithmetic.  The type is tested first and ``require_*`` is
 called only to raise, which keeps the internal constructions cheap.
+The arithmetic operators likewise raise DomainError when the other
+operand is not a series (a polynomial for ``Polynomial``).
+
+``series_mul`` builds one Fraction per output coefficient: it scales
+each operand to ints by the lcm of its coefficient denominators,
+convolves the ints, and divides by the product of the two scales once
+per coefficient, where a Fraction convolution would take a gcd at every
+product.  ``geometric`` builds c^k for c = p/q as one Fraction p^k / q^k.
 """
 
 from __future__ import annotations
 
+import math
+from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -40,6 +50,16 @@ def _rational(where: str, name: str, v: Scalar) -> Fraction:
     return Fraction(v)
 
 
+def _require_iterable(where: str, coeffs: object) -> None:
+    if type(coeffs) not in (list, tuple) and not isinstance(coeffs, abc.Iterable):
+        raise DomainError(f"{where}: coefficients must be iterable, got {coeffs!r}")
+
+
+def _require_operand(where: str, other: object, cls: type) -> None:
+    if not isinstance(other, cls):
+        raise DomainError(f"{where}: operand must be a {cls.__name__}, got {other!r}")
+
+
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Formal power series truncated at a fixed order."""
@@ -52,6 +72,7 @@ class TruncatedSeries:
             require_ints("TruncatedSeries", order=self.order)
         cs = self.coeffs
         if type(cs) is not tuple or not all(type(c) is Fraction for c in cs):
+            _require_iterable("TruncatedSeries", cs)
             cs = tuple(_rational("TruncatedSeries", "coefficient", c) for c in cs)
             object.__setattr__(self, "coeffs", cs)
         if self.order < 0:
@@ -67,6 +88,7 @@ class TruncatedSeries:
         """Build a series from a coefficient sequence, padding with zeros."""
         if type(order) is not int:
             require_ints("TruncatedSeries.from_coeffs", order=order)
+        _require_iterable("TruncatedSeries.from_coeffs", coeffs)
         cs = [_rational("TruncatedSeries.from_coeffs", "coefficient", c) for c in coeffs]
         if len(cs) > order + 1:
             cs = cs[: order + 1]
@@ -102,12 +124,14 @@ class TruncatedSeries:
             raise OrderMismatch(f"orders differ: {self.order} vs {other.order}")
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        _require_operand("TruncatedSeries.__add__", other, TruncatedSeries)
         self._check_order(other)
         return TruncatedSeries(
             self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        _require_operand("TruncatedSeries.__sub__", other, TruncatedSeries)
         self._check_order(other)
         return TruncatedSeries(
             self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
@@ -127,19 +151,28 @@ class TruncatedSeries:
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the common order."""
+    """Cauchy product truncated at the common order.
+
+    With sa and sb the lcms of the coefficient denominators of a and b,
+    sa * a and sb * b have int coefficients; their int convolution over
+    sa * sb is the product, one Fraction per coefficient.
+    """
+    _require_operand("series_mul", a, TruncatedSeries)
+    _require_operand("series_mul", b, TruncatedSeries)
     if a.order != b.order:
         raise OrderMismatch(f"orders differ: {a.order} vs {b.order}")
     n = a.order
-    out = [Fraction(0)] * (n + 1)
-    for i, ai in enumerate(a.coeffs):
-        if ai == 0:
-            continue
-        for j in range(n + 1 - i):
-            bj = b.coeffs[j]
-            if bj != 0:
-                out[i + j] += ai * bj
-    return TruncatedSeries(n, tuple(out))
+    sa = math.lcm(*[c.denominator for c in a.coeffs])
+    sb = math.lcm(*[c.denominator for c in b.coeffs])
+    ai = [c.numerator * (sa // c.denominator) for c in a.coeffs]
+    bi = [c.numerator * (sb // c.denominator) for c in b.coeffs]
+    out = [0] * (n + 1)
+    for i, x in enumerate(ai):
+        if x:
+            for j in range(n + 1 - i):
+                out[i + j] += x * bi[j]
+    den = sa * sb
+    return TruncatedSeries(n, tuple([Fraction(c, den) for c in out]))
 
 
 def geometric(c: Scalar, order: int) -> TruncatedSeries:
@@ -147,10 +180,8 @@ def geometric(c: Scalar, order: int) -> TruncatedSeries:
     if type(order) is not int:
         require_ints("geometric", order=order)
     c = _rational("geometric", "c", c)
-    coeffs = [Fraction(1)]
-    for _ in range(order):
-        coeffs.append(coeffs[-1] * c)
-    return TruncatedSeries(order, tuple(coeffs))
+    p, q = c.numerator, c.denominator
+    return TruncatedSeries(order, tuple([Fraction(p**k, q**k) for k in range(order + 1)]))
 
 
 class Polynomial:
@@ -163,6 +194,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Scalar] = (0,)):
+        _require_iterable("Polynomial", coeffs)
         cs = [_rational("Polynomial", "coefficient", c) for c in coeffs]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
@@ -195,6 +227,7 @@ class Polynomial:
         return hash(self.coeffs)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        _require_operand("Polynomial.__add__", other, Polynomial)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -204,6 +237,7 @@ class Polynomial:
         return Polynomial(out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
+        _require_operand("Polynomial.__sub__", other, Polynomial)
         return self + other.scale(-1)
 
     def __mul__(self, other):

@@ -23,6 +23,30 @@ nonint_fractions = st.fractions(
 any_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=9)
 
 
+def fraction_rising(x, n):
+    """The Fraction loop that rising(x, n >= 0) replaced, kept as a reference."""
+    out = F(1)
+    for i in range(n):
+        out *= F(x) + i
+    return out
+
+
+def fraction_falling(x, n):
+    """The Fraction loop that falling(x, n >= 0) replaced, kept as a reference."""
+    out = F(1)
+    for i in range(n):
+        out *= F(x) - i
+    return out
+
+
+# ints and Fractions of both signs, with products that cross 0 for n up to 40
+pochhammer_args = st.one_of(
+    st.integers(-45, 45),
+    st.fractions(min_value=-45, max_value=45, max_denominator=12),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4),
+)
+
+
 class TestRisingFalling:
     def test_empty_products_are_one(self):
         for x in (F(0), F(1), F(-7, 3), F(11, 2)):
@@ -49,6 +73,13 @@ class TestRisingFalling:
             falling(-2, -3)  # x in {-1..-3}
         rising(6, -5)  # x outside the pole set is fine
         falling(1, -3)
+
+    @given(x=pochhammer_args, n=st.integers(0, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_product(self, x, n):
+        for route, ref in ((rising, fraction_rising), (falling, fraction_falling)):
+            got = route(x, n)
+            assert type(got) is F and got == ref(x, n)
 
     @given(x=nonint_fractions, a=st.integers(-6, 6), b=st.integers(-6, 6))
     @settings(max_examples=150, deadline=None)

@@ -12,6 +12,7 @@ from binomial_moments.errors import (
     NotTabulated,
     PreconditionViolated,
 )
+from binomial_moments.exact import bracket
 from binomial_moments.moments import (
     COROLLARIES,
     MomentQuery,
@@ -57,15 +58,26 @@ class TestOracle:
         assert oracle(MomentQuery("B", 2, 1)) == 1
         assert oracle(MomentQuery("B", 2, 2)) == 0
 
-    @given(family=st.sampled_from("AB"), m=st.integers(0, 12), n=st.integers(1, 80))
+    @given(family=st.sampled_from("ABCD"), m=st.integers(0, 12), n=st.integers(1, 80))
     @settings(max_examples=100, deadline=None)
     def test_integer_sum_matches_fraction_reference(self, family, m, n):
         ref = Fraction(0)
         for k in range(1, n + 1):
-            term = Fraction(math.comb(2 * n, n - k)) * k**m
-            ref += -term if family == "B" and k % 2 == 0 else term
+            if family in "AB":
+                w = Fraction(math.comb(2 * n, n - k))
+            else:
+                w = bracket(2 * n, n - k)
+            term = w * k**m
+            ref += -term if family in "BC" and k % 2 == 0 else term
         got = oracle(MomentQuery(family, m, n))
         assert type(got) is Fraction and got == ref
+
+    def test_double_factorial_clears_every_bracket(self):
+        # the common denominator the C/D oracle sums over
+        for n in range(1, 301):
+            den = math.prod(range(1, 2 * n, 2))
+            for k in range(1, n + 1):
+                assert den % bracket(2 * n, n - k).denominator == 0
 
     def test_sign_pattern(self):
         # the m = 0 sums pair up: A_0(n) + B_0(n) = 2^(2n-1)

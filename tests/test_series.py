@@ -37,6 +37,30 @@ def series_pair(order):
     )
 
 
+def mixed_coeffs(order):
+    """Coefficient lists with zeros and unrelated denominators mixed in."""
+    coeff = st.one_of(
+        st.just(F(0)),
+        small_fraction,
+        st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4),
+    )
+    return st.lists(coeff, min_size=order + 1, max_size=order + 1)
+
+
+def fraction_series_mul(a, b):
+    """The Fraction convolution that series_mul replaced, kept as a reference."""
+    n = a.order
+    out = [F(0)] * (n + 1)
+    for i, ai in enumerate(a.coeffs):
+        if ai == 0:
+            continue
+        for j in range(n + 1 - i):
+            bj = b.coeffs[j]
+            if bj != 0:
+                out[i + j] += ai * bj
+    return TruncatedSeries(n, tuple(out))
+
+
 class TestSeriesArithmetic:
     def test_mul_examples(self):
         assert S([1, 1, 0]) * S([1, -1, 0]) == S([1, 0, -1])
@@ -81,6 +105,30 @@ class TestSeriesArithmetic:
         a, b, c = triple
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+    @given(
+        st.integers(0, 10).flatmap(
+            lambda o: st.tuples(mixed_coeffs(o), mixed_coeffs(o)).map(
+                lambda cc: (S(cc[0], o), S(cc[1], o))
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_mul_matches_fraction_convolution(self, pair):
+        a, b = pair
+        got = series_mul(a, b)
+        assert got == fraction_series_mul(a, b)
+        assert all(type(c) is F for c in got.coeffs)
+
+    @given(c=small_fraction, order=st.integers(0, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_geometric_matches_running_product(self, c, order):
+        got = geometric(c, order)
+        ref = [F(1)]
+        for _ in range(order):
+            ref.append(ref[-1] * c)
+        assert got.coeffs == tuple(ref)
+        assert all(type(x) is F for x in got.coeffs)
 
     @given(c=small_fraction, order=st.integers(0, 10))
     @settings(max_examples=60, deadline=None)
@@ -179,6 +227,33 @@ INEXACT_CALLS = {
 
 @pytest.mark.parametrize("call", INEXACT_CALLS.values(), ids=INEXACT_CALLS.keys())
 def test_entries_reject_inexact_arguments(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+POLY = Polynomial([1, 2])
+
+# Each arithmetic call with an operand of the wrong kind: a scalar where a
+# series (or polynomial) belongs, the other container, or no sequence.
+WRONG_OPERAND_CALLS = {
+    "series plus int": lambda: ONE + 1,
+    "series minus Fraction": lambda: ONE - F(1, 2),
+    "series plus polynomial": lambda: ONE + POLY,
+    "series_mul by int": lambda: series_mul(ONE, 2),
+    "series_mul of int": lambda: series_mul(2, ONE),
+    "series_mul by polynomial": lambda: series_mul(ONE, POLY),
+    "constructor None coefficients": lambda: TruncatedSeries(1, None),
+    "from_coeffs None coefficients": lambda: TruncatedSeries.from_coeffs(None, 1),
+    "polynomial plus int": lambda: POLY + 1,
+    "polynomial minus Fraction": lambda: POLY - F(1, 2),
+    "polynomial plus series": lambda: POLY + ONE,
+    "polynomial times series": lambda: POLY * ONE,
+    "polynomial None coefficients": lambda: Polynomial(None),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_OPERAND_CALLS.values(), ids=WRONG_OPERAND_CALLS.keys())
+def test_arithmetic_rejects_wrong_operands(call):
     with pytest.raises(DomainError):
         call()
 
