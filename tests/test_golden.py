@@ -5,8 +5,9 @@ Each file under ``tests/golden`` is the exact stdout of one ``moments``
 command, trailing newline included, so a change to how a formula is
 stored, evaluated or rendered, or to how ``verify`` computes its checks,
 must leave these bytes as they are.  The
-rediscovery report and the m <= 16, n <= 60 value tables are pinned by
-their sha256 digests instead of files of 41 KB and about 0.5 MB each.
+rediscovery report, the m <= 16, n <= 60 value tables and the even-D
+searches are pinned by their sha256 digests instead of files of 41 KB
+to about 0.7 MB each.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from binomial_moments.cli import main
-from binomial_moments.conjecture import rediscover_all
+from binomial_moments.conjecture import SearchConfig, explore_D_even, rediscover_all
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -28,6 +29,24 @@ REDISCOVERY_SHA256 = "79404565b855609f7e7522c51e69e460da7afb7274076b80210abd3123
 TABLE_M16_N60_SHA256 = {
     "oracle": "c12c8b239fb3d49e90d4ab3c1fcd7c1fb11dd30013ef1a253824e8992f56179a",
     "theorem": "8d620390a03ada2447cb2d23c36791958b94234ae79e65e1a1de2f8a3be9b41a",
+}
+
+
+# sha256 of the stdout of `moments discover D even T` at the default search
+# bounds, 209264, 230185, 251900 and 271287 bytes for T = 0..3.
+DISCOVER_D_EVEN_SHA256 = {
+    0: "dbb27e3f0b1a63f277669c49ba6b22ef7aeaeab17462a2b18860d7a0326b7764",
+    1: "07e009e30609ddd33791ea3eb710653c02550dd3eb6494c0bbeeb99225a9aee2",
+    2: "af8f643128c3ee9fe63c7c89c3525109105463d1bdba8e7bea02359c37e07ced",
+    3: "e9fddf105adb29d858f9cc04f9e2bc6dd93dd753ff907058888a32b5ecfb1aaf",
+}
+
+# sha256 of json.dumps([c.to_dict() for c in explore_D_even(M, WIDE_SEARCH)],
+# indent=2), 606470 bytes (M = 1) and 681876 bytes (M = 2).
+WIDE_SEARCH = SearchConfig(max_degree=6, max_roots=3)
+EXPLORE_D_EVEN_WIDE_SHA256 = {
+    1: "d40f63de92437350101e38cba8188ac5755238cd96ea9807b59e48702308ac6f",
+    2: "609bca000a644d55c84614305e1f7642fa35366a352e91a1734341d53530513d",
 }
 
 
@@ -70,6 +89,18 @@ def test_open_case_search(capsys):
     argv = ("discover", "D", "even", "1", "--max-degree", "1", "--max-roots", "1")
     out = stdout_of(capsys, *argv)
     assert out == (GOLDEN / "discover_D_even_1_deg1_roots1.json").read_bytes()
+
+
+@pytest.mark.parametrize("t", sorted(DISCOVER_D_EVEN_SHA256))
+def test_open_case_search_digest(capsys, t):
+    out = stdout_of(capsys, "discover", "D", "even", str(t))
+    assert hashlib.sha256(out).hexdigest() == DISCOVER_D_EVEN_SHA256[t]
+
+
+@pytest.mark.parametrize("m", sorted(EXPLORE_D_EVEN_WIDE_SHA256))
+def test_wide_even_d_search_digest(m):
+    text = json.dumps([c.to_dict() for c in explore_D_even(m, WIDE_SEARCH)], indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPLORE_D_EVEN_WIDE_SHA256[m]
 
 
 def test_flagship_verify_report(capsys):
