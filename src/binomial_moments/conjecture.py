@@ -11,7 +11,11 @@ power 2^(2n+c), the sign (-1)^n, or 1) -- is defined in ``moments``,
 next to the printed formulas themselves.  This module fits it: the
 unknown polynomial coefficients are linear, so they are determined
 exactly from oracle samples by fraction-free integer elimination and then
-checked on holdout points disjoint from the fit.  A candidate is only
+checked on holdout points disjoint from the fit.  The system is built in
+``int``: each row is the ansatz's ``basis_row`` at a sample n and the
+oracle value there, both scaled by the lcm of their denominators.  The
+holdout check evaluates the candidate through ``Ansatz.value``, the same
+int row summed against the coefficients.  A candidate is only
 ``verified`` when every holdout point matches exactly; with no holdout
 it can only be ``underdetermined``.
 
@@ -58,7 +62,7 @@ class ClosedFormCandidate:
     first_mismatch: Optional[int] = None
 
     def value_at(self, n: int) -> Fraction:
-        return sum((t.value(cs, n) for t, cs in self.term_coefficients()), Fraction(0))
+        return self.ansatz.value(self.coefficients, n)
 
     def term_coefficients(self) -> list[tuple[AnsatzTerm, tuple[Fraction, ...]]]:
         out = []
@@ -173,6 +177,8 @@ def fit(
     matches exactly and at least one exists; a mismatch yields ``refuted``
     with the smallest mismatching n recorded.
     """
+    if not isinstance(ansatz, Ansatz):
+        raise DomainError(f"fit needs an Ansatz, got {ansatz!r}")
     samples = sorted(sample_ns)
     holdout = sorted(holdout_ns)
     if len(set(samples)) != len(samples) or len(set(holdout)) != len(holdout):
@@ -190,8 +196,13 @@ def fit(
         raise DomainError(f"{u} unknowns need at least {u} sample nodes, got {len(samples)}")
 
     fitted = samples[:u]
-    matrix = [ansatz.basis_at(n) for n in fitted]
-    rhs = [oracle(MomentQuery(family, power, n)) for n in fitted]
+    matrix, rhs = [], []
+    for n in fitted:
+        ints, den = ansatz.basis_row(n)
+        v = oracle(MomentQuery(family, power, n))
+        scale = math.lcm(den, v.denominator)
+        matrix.append([a * (scale // den) for a in ints])
+        rhs.append(v.numerator * (scale // v.denominator))
     coeffs = tuple(solve_exact(matrix, rhs))
 
     verify_pts = sorted(samples[u:] + holdout)

@@ -25,10 +25,11 @@ value, its LaTeX and the coefficients that ``conjecture`` must recover
 when it refits the formula from oracle data all derive from that record.
 The prefactor vocabulary -- 1, (-1)^n, C(2n,n), [2n,n] and 2^(2n+c) -- is
 one table, ``_PREFACTOR``, that gives each prefactor's value, plain text
-and LaTeX.  ``AnsatzTerm.value`` evaluates one term at given
-coefficients; a printed formula and a fitted candidate
-(``conjecture.ClosedFormCandidate.value_at``) are both evaluated through
-it.  How formulas are fitted lives in ``conjecture``.
+and LaTeX.  ``Ansatz.basis_row`` gives the basis at n as ints over one
+denominator, and ``Ansatz.value`` evaluates an ansatz at given
+coefficients from that row, building one Fraction; a printed formula and
+a fitted candidate (``conjecture.ClosedFormCandidate.value_at``) are both
+evaluated through it.  How formulas are fitted lives in ``conjecture``.
 
 Two of the closed-form identities admit more than one plausible reading
 (a shifted vs unshifted symmetric-function argument for odd C, and a
@@ -40,7 +41,7 @@ the oracle, and the ``verify`` report records the evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -410,10 +411,6 @@ class AnsatzTerm:
             out *= a * n + b
         return out
 
-    def value(self, coeffs: Sequence[Scalar], n: int, den: int = 1) -> Fraction:
-        """prefactor(n) * poly(n) / (den * roots(n)), poly's coefficients lowest degree first."""
-        return self.prefactor_value(n) * Fraction(_horner(coeffs, n), den * self.root_product(n))
-
     def excluded_ns(self) -> set[int]:
         """Positive integers where a denominator root vanishes."""
         out = set()
@@ -447,16 +444,50 @@ class Ansatz:
     def unknowns(self) -> int:
         return sum(t.degree + 1 for t in self.terms)
 
-    def basis_at(self, n: int) -> list[Fraction]:
-        row: list[Fraction] = []
+    def basis_row(self, n: int) -> tuple[list[int], int]:
+        """The basis at n over one denominator: (ints, den) with den > 0.
+
+        Term t with prefactor P/Q and root product r contributes the basis
+        values P n^j / (Q r), j = 0..degree.  den is the lcm over the terms
+        of Q |r|, so each basis value is ints[j] / den and no Fraction is built.
+        """
+        if type(n) is not int:
+            require_ints("Ansatz.basis_row", n=n)
+        parts = []
+        den = 1
         for t in self.terms:
-            base = t.prefactor_value(n) / t.root_product(n)
-            x = base
-            row.append(base)
-            for _ in range(t.degree):
+            p = t.prefactor_value(n)
+            r = t.root_product(n)
+            if not r:
+                raise DomainError(f"n={n} hits a denominator root of {t.describe()}")
+            d = p.denominator * abs(r)
+            parts.append((t.degree, -p.numerator if r < 0 else p.numerator, d))
+            den = math.lcm(den, d)
+        ints: list[int] = []
+        for degree, x, d in parts:
+            x *= den // d
+            ints.append(x)
+            for _ in range(degree):
                 x *= n
-                row.append(x)
-        return row
+                ints.append(x)
+        return ints, den
+
+    def value(self, coeffs: Sequence[Scalar], n: int, den: int = 1) -> Fraction:
+        """sum_j coeffs[j] * basis_j(n) / den, summed in int and built as one Fraction.
+
+        coeffs run over the terms in order, each term's lowest degree first.
+        """
+        if len(coeffs) != self.unknowns:
+            raise DomainError(f"{self.unknowns} coefficients needed, got {len(coeffs)}")
+        if type(den) is not int or den < 1:
+            raise DomainError(f"Ansatz.value: den must be a positive int, got {den!r}")
+        for c in coeffs:
+            if type(c) is not int and type(c) is not Fraction:
+                require_rationals("Ansatz.value", coefficient=c)
+        ints, row_den = self.basis_row(n)
+        scale = math.lcm(*[c.denominator for c in coeffs])
+        total = sum([a * c.numerator * (scale // c.denominator) for a, c in zip(ints, coeffs)])
+        return Fraction(total, row_den * scale * den)
 
     def excluded_ns(self) -> set[int]:
         out: set[int] = set()
@@ -504,13 +535,6 @@ def family_ansatz(family: str, parity: str, t: int) -> Optional[Ansatz]:
     if family == "D" and parity == "odd":
         return Ansatz((AnsatzTerm("bracket", t + 1), AnsatzTerm("unit", 2 * t)))
     return None
-
-
-def _horner(coeffs: Sequence[Scalar], n: int) -> Scalar:
-    out = 0
-    for c in reversed(coeffs):
-        out = out * n + c
-    return out
 
 
 def _power_tex(i: int) -> str:
@@ -571,6 +595,10 @@ class PrintedForm:
     min_n: int = 1
     points: tuple[tuple[int, int], ...] = ()
 
+    # The numerators over the lcm of the denominators, as Ansatz.value takes them.
+    _coeffs: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _scale: int = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         terms = self.ansatz.terms
         if not len(terms) == len(self.numerators) == len(self.denominators):
@@ -581,6 +609,12 @@ class PrintedForm:
                     f"{self.label}: {term.describe()} needs {term.degree + 1} numerator "
                     f"coefficients and a positive denominator, got {num} / {den}"
                 )
+        scale = math.lcm(*self.denominators)
+        coeffs = tuple(
+            c * (scale // den) for num, den in zip(self.numerators, self.denominators) for c in num
+        )
+        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "_scale", scale)
 
     @property
     def label(self) -> str:
@@ -601,18 +635,14 @@ class PrintedForm:
             return f"value 0, valid for n > {start - 1}"
         return f"valid for n > {start - 1}" if start > 1 else None
 
-    def _ansatz_value(self, n: int) -> Fraction:
-        total = Fraction(0)
-        for term, num, den in zip(self.ansatz.terms, self.numerators, self.denominators):
-            total += term.value(num, n, den)
-        return total
-
     def value(self, n: int) -> Fraction:
         """The printed value at n; the guard n >= min_n is the caller's to check."""
+        if type(n) is not int:
+            require_ints("PrintedForm.value", n=n)
         for k, v in self.points:
             if n == k:
                 return Fraction(v)
-        return self._ansatz_value(n)
+        return self.ansatz.value(self._coeffs, n, self._scale)
 
     def latex(self) -> str:
         """LaTeX source of the formula (assumes amsmath)."""
@@ -622,7 +652,7 @@ class PrintedForm:
             if any(num)
         )
         for k, v in self.points:
-            diff = v - self._ansatz_value(k)
+            diff = v - self.ansatz.value(self._coeffs, k, self._scale)
             if diff:
                 q = abs(diff)
                 scale = "" if q == 1 else rf"\tfrac{{{q.numerator}}}{{{q.denominator}}}"

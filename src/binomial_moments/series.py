@@ -12,7 +12,8 @@ for anything else, bool, float and str included, so no binary value
 enters the arithmetic.  The type is tested first and ``require_*`` is
 called only to raise, which keeps the internal constructions cheap.
 The arithmetic operators likewise raise DomainError when the other
-operand is not a series (a polynomial for ``Polynomial``).
+operand, on either side, is not a series (a polynomial for
+``Polynomial``).
 
 ``series_mul`` builds one Fraction per output coefficient: it scales
 each operand to ints by the lcm of its coefficient denominators,
@@ -137,6 +138,14 @@ class TruncatedSeries:
             self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
         )
 
+    def __radd__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        _require_operand("TruncatedSeries.__radd__", other, TruncatedSeries)
+        return other + self
+
+    def __rsub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        _require_operand("TruncatedSeries.__rsub__", other, TruncatedSeries)
+        return other - self
+
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             return series_mul(self, other)
@@ -239,6 +248,14 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         _require_operand("Polynomial.__sub__", other, Polynomial)
         return self + other.scale(-1)
+
+    def __radd__(self, other: "Polynomial") -> "Polynomial":
+        _require_operand("Polynomial.__radd__", other, Polynomial)
+        return other + self
+
+    def __rsub__(self, other: "Polynomial") -> "Polynomial":
+        _require_operand("Polynomial.__rsub__", other, Polynomial)
+        return other - self
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):

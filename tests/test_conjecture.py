@@ -208,6 +208,8 @@ class TestSolveExactMatchesReference:
         monkeypatch.undo()
         assert len(systems_seen) == 2 * len(search_catalogue(config)) + len(printed_forms())
         for matrix, rhs in systems_seen:
+            assert all(type(v) is int for row in matrix for v in row)
+            assert all(type(v) is int for v in rhs)
             assert_same_as_reference(matrix, rhs)
 
     @pytest.mark.parametrize("bad", [0.5, 2.0, float("nan"), True, "1/2", None])
@@ -309,6 +311,13 @@ class TestInputDomain:
     def test_ansatz_term_rejects(self, fields):
         with pytest.raises(DomainError):
             AnsatzTerm("unit", **{"degree": 0, **fields})
+
+    @pytest.mark.parametrize(
+        "ansatz", [AnsatzTerm("power2", 1, shift=-2), "power2", None, (AnsatzTerm("unit", 0),)]
+    )
+    def test_fit_rejects_a_non_ansatz(self, ansatz):
+        with pytest.raises(DomainError):
+            fit("A", 2, ansatz, [1, 2], [3])
 
     def test_root_with_zero_slope_is_refused_before_fitting(self):
         with pytest.raises(DomainError):

@@ -15,7 +15,12 @@ from binomial_moments.errors import (
 from binomial_moments.exact import bracket
 from binomial_moments.moments import (
     COROLLARIES,
+    PREFACTORS,
+    Ansatz,
+    AnsatzTerm,
     MomentQuery,
+    _int_roots,
+    _odd_roots,
     b1_second_form,
     closed_form,
     corollary_value,
@@ -178,6 +183,94 @@ class TestCorollaryValue:
         for (family, m), entry in sorted(COROLLARIES.items()):
             for n in range(entry.min_n, 16):
                 assert entry.value(n) == oracle(MomentQuery(family, m, n)), (family, m, n)
+
+
+def reference_basis(ansatz, n):
+    """prefactor(n) * n^j / root_product(n) for every term and j, in Fraction."""
+    return [
+        t.prefactor_value(n) * n**j / math.prod(a * n + b for a, b in t.roots)
+        for t in ansatz.terms
+        for j in range(t.degree + 1)
+    ]
+
+
+def reference_value(ansatz, coeffs, n):
+    """The term-by-term Fraction sum: prefactor(n) * poly(n) / root_product(n)."""
+    total, i = F(0), 0
+    for t in ansatz.terms:
+        poly = sum(c * n**j for j, c in enumerate(coeffs[i : i + t.degree + 1]))
+        total += t.prefactor_value(n) * F(poly) / math.prod(a * n + b for a, b in t.roots)
+        i += t.degree + 1
+    return total
+
+
+@st.composite
+def ansatze(draw):
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        prefactor = draw(st.sampled_from(PREFACTORS))
+        shift = draw(st.integers(-4, 4)) if prefactor == "power2" else 0
+        count = draw(st.integers(0, 3))
+        roots = draw(st.sampled_from([_odd_roots(count, 1), _odd_roots(count, 3), _int_roots(count)]))
+        terms.append(AnsatzTerm(prefactor, draw(st.integers(0, 4)), roots, shift))
+    return Ansatz(tuple(terms))
+
+
+class TestAnsatzEvaluator:
+    @given(ansatz=ansatze(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_int_row_matches_fraction_reference(self, ansatz, data):
+        coeffs = data.draw(
+            st.lists(small_fraction | st.integers(-50, 50), min_size=ansatz.unknowns, max_size=ansatz.unknowns)
+        )
+        den = data.draw(st.integers(1, 12))
+        excluded = ansatz.excluded_ns()
+        for n in range(1, 13):
+            if n in excluded:
+                continue
+            ints, row_den = ansatz.basis_row(n)
+            assert type(row_den) is int and row_den > 0
+            assert all(type(v) is int for v in ints)
+            assert [F(v, row_den) for v in ints] == reference_basis(ansatz, n)
+            got = ansatz.value(coeffs, n, den)
+            assert type(got) is F
+            assert got == reference_value(ansatz, coeffs, n) / den
+
+    def test_negative_root_product(self):
+        # (2n-3)(2n-5) = -1 at n = 2, below the second root
+        ansatz = Ansatz((AnsatzTerm("bracket", 1, _odd_roots(2, 3)),))
+        ints, den = ansatz.basis_row(2)
+        assert den > 0
+        assert [F(v, den) for v in ints] == [-bracket(4, 2), -2 * bracket(4, 2)]
+        assert ansatz.value((1, F(1, 2)), 2) == -2 * bracket(4, 2)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, F(5, 2), "3"])
+    def test_rejects_non_int_n(self, n):
+        ansatz = Ansatz((AnsatzTerm("power2", 1, shift=-2),))
+        with pytest.raises(DomainError):
+            ansatz.basis_row(n)
+        with pytest.raises(DomainError):
+            ansatz.value((0, 1), n)
+        for key in (("A", 2), ("B", 2), ("C", 1)):
+            with pytest.raises(DomainError):
+                COROLLARIES[key].value(n)
+
+    def test_rejects_a_denominator_root(self):
+        ansatz = Ansatz((AnsatzTerm("unit", 0), AnsatzTerm("sign", 1, _int_roots(2))))
+        for n in (1, 2):
+            with pytest.raises(DomainError):
+                ansatz.basis_row(n)
+        assert ansatz.basis_row(3) == ([2, -1, -3], 2)  # 1, then (-1)^3 (1, 3) / 2
+
+    @pytest.mark.parametrize("coeffs", [(1,), (1, 2, 3), (1, 0.5), (True, 1), (1, "2")])
+    def test_rejects_bad_coefficients(self, coeffs):
+        with pytest.raises(DomainError):
+            Ansatz((AnsatzTerm("central", 1),)).value(coeffs, 3)
+
+    @pytest.mark.parametrize("den", [0, -2, 2.0, True, F(1, 2)])
+    def test_rejects_bad_denominator(self, den):
+        with pytest.raises(DomainError):
+            Ansatz((AnsatzTerm("central", 1),)).value((1, 2), 3, den)
 
 
 class TestRoutesAgree:

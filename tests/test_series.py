@@ -239,6 +239,9 @@ WRONG_OPERAND_CALLS = {
     "series plus int": lambda: ONE + 1,
     "series minus Fraction": lambda: ONE - F(1, 2),
     "series plus polynomial": lambda: ONE + POLY,
+    "int plus series": lambda: 1 + ONE,
+    "int minus series": lambda: 1 - ONE,
+    "Fraction minus series": lambda: F(1, 2) - ONE,
     "series_mul by int": lambda: series_mul(ONE, 2),
     "series_mul of int": lambda: series_mul(2, ONE),
     "series_mul by polynomial": lambda: series_mul(ONE, POLY),
@@ -247,6 +250,9 @@ WRONG_OPERAND_CALLS = {
     "polynomial plus int": lambda: POLY + 1,
     "polynomial minus Fraction": lambda: POLY - F(1, 2),
     "polynomial plus series": lambda: POLY + ONE,
+    "int plus polynomial": lambda: 1 + POLY,
+    "int minus polynomial": lambda: 1 - POLY,
+    "Fraction plus polynomial": lambda: F(1, 2) + POLY,
     "polynomial times series": lambda: POLY * ONE,
     "polynomial None coefficients": lambda: Polynomial(None),
 }
