@@ -62,7 +62,10 @@ class ClosedFormCandidate:
     first_mismatch: Optional[int] = None
 
     def value_at(self, n: int) -> Fraction:
-        return self.ansatz.value(self.coefficients, n)
+        """The candidate at n, through ``Ansatz.value`` with the coefficients over their lcm."""
+        cs = self.coefficients
+        scale = math.lcm(*[c.denominator for c in cs])
+        return self.ansatz.value([c.numerator * (scale // c.denominator) for c in cs], n, scale)
 
     def term_coefficients(self) -> list[tuple[AnsatzTerm, tuple[Fraction, ...]]]:
         out = []

@@ -26,10 +26,11 @@ when it refits the formula from oracle data all derive from that record.
 The prefactor vocabulary -- 1, (-1)^n, C(2n,n), [2n,n] and 2^(2n+c) -- is
 one table, ``_PREFACTOR``, that gives each prefactor's value, plain text
 and LaTeX.  ``Ansatz.basis_row`` gives the basis at n as ints over one
-denominator, and ``Ansatz.value`` evaluates an ansatz at given
-coefficients from that row, building one Fraction; a printed formula and
-a fitted candidate (``conjecture.ClosedFormCandidate.value_at``) are both
-evaluated through it.  How formulas are fitted lives in ``conjecture``.
+denominator, and ``Ansatz.value`` evaluates an ansatz at int
+coefficients over one denominator from that row, building one Fraction;
+a printed formula and a fitted candidate
+(``conjecture.ClosedFormCandidate.value_at``) are both evaluated through
+it.  How formulas are fitted lives in ``conjecture``.
 
 Two of the closed-form identities admit more than one plausible reading
 (a shifted vs unshifted symmetric-function argument for odd C, and a
@@ -41,6 +42,7 @@ the oracle, and the ``verify`` report records the evidence.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -472,22 +474,18 @@ class Ansatz:
                 ints.append(x)
         return ints, den
 
-    def value(self, coeffs: Sequence[Scalar], n: int, den: int = 1) -> Fraction:
-        """sum_j coeffs[j] * basis_j(n) / den, summed in int and built as one Fraction.
+    def value(self, nums: Sequence[int], n: int, den: int = 1) -> Fraction:
+        """The ansatz at n with coefficients nums[j] / den, as one Fraction.
 
-        coeffs run over the terms in order, each term's lowest degree first.
+        nums run over the terms in order, each term's lowest degree first.
+        The sum of nums[j] * ints[j] over ``basis_row(n)`` is taken in int.
         """
-        if len(coeffs) != self.unknowns:
-            raise DomainError(f"{self.unknowns} coefficients needed, got {len(coeffs)}")
+        ints, row_den = self.basis_row(n)
+        if len(nums) != len(ints) or set(map(type, nums)) != {int}:
+            raise DomainError(f"Ansatz.value: needs {len(ints)} int coefficients, got {nums!r}")
         if type(den) is not int or den < 1:
             raise DomainError(f"Ansatz.value: den must be a positive int, got {den!r}")
-        for c in coeffs:
-            if type(c) is not int and type(c) is not Fraction:
-                require_rationals("Ansatz.value", coefficient=c)
-        ints, row_den = self.basis_row(n)
-        scale = math.lcm(*[c.denominator for c in coeffs])
-        total = sum([a * c.numerator * (scale // c.denominator) for a, c in zip(ints, coeffs)])
-        return Fraction(total, row_den * scale * den)
+        return Fraction(sum(map(operator.mul, ints, nums)), row_den * den)
 
     def excluded_ns(self) -> set[int]:
         out: set[int] = set()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binomial_moments.conjecture import ClosedFormCandidate
 from binomial_moments.errors import (
     DomainError,
     GuardViolated,
@@ -220,10 +221,11 @@ class TestAnsatzEvaluator:
     @given(ansatz=ansatze(), data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_int_row_matches_fraction_reference(self, ansatz, data):
-        coeffs = data.draw(
-            st.lists(small_fraction | st.integers(-50, 50), min_size=ansatz.unknowns, max_size=ansatz.unknowns)
-        )
+        u = ansatz.unknowns
+        nums = data.draw(st.lists(st.integers(-50, 50), min_size=u, max_size=u))
         den = data.draw(st.integers(1, 12))
+        coeffs = tuple(data.draw(st.lists(small_fraction, min_size=u, max_size=u)))
+        candidate = ClosedFormCandidate("D", 0, ansatz, coeffs, (), (), "underdetermined")
         excluded = ansatz.excluded_ns()
         for n in range(1, 13):
             if n in excluded:
@@ -232,9 +234,10 @@ class TestAnsatzEvaluator:
             assert type(row_den) is int and row_den > 0
             assert all(type(v) is int for v in ints)
             assert [F(v, row_den) for v in ints] == reference_basis(ansatz, n)
-            got = ansatz.value(coeffs, n, den)
+            got = ansatz.value(nums, n, den)
             assert type(got) is F
-            assert got == reference_value(ansatz, coeffs, n) / den
+            assert got == reference_value(ansatz, nums, n) / den
+            assert candidate.value_at(n) == reference_value(ansatz, coeffs, n)
 
     def test_negative_root_product(self):
         # (2n-3)(2n-5) = -1 at n = 2, below the second root
@@ -242,7 +245,7 @@ class TestAnsatzEvaluator:
         ints, den = ansatz.basis_row(2)
         assert den > 0
         assert [F(v, den) for v in ints] == [-bracket(4, 2), -2 * bracket(4, 2)]
-        assert ansatz.value((1, F(1, 2)), 2) == -2 * bracket(4, 2)
+        assert ansatz.value((2, 1), 2, 2) == -2 * bracket(4, 2)
 
     @pytest.mark.parametrize("n", [2.5, 2.0, True, F(5, 2), "3"])
     def test_rejects_non_int_n(self, n):
@@ -262,7 +265,7 @@ class TestAnsatzEvaluator:
                 ansatz.basis_row(n)
         assert ansatz.basis_row(3) == ([2, -1, -3], 2)  # 1, then (-1)^3 (1, 3) / 2
 
-    @pytest.mark.parametrize("coeffs", [(1,), (1, 2, 3), (1, 0.5), (True, 1), (1, "2")])
+    @pytest.mark.parametrize("coeffs", [(1,), (1, 2, 3), (1, 0.5), (True, 1), (1, "2"), (1, F(1, 2))])
     def test_rejects_bad_coefficients(self, coeffs):
         with pytest.raises(DomainError):
             Ansatz((AnsatzTerm("central", 1),)).value(coeffs, 3)
