@@ -212,7 +212,8 @@ def ansatze(draw):
         prefactor = draw(st.sampled_from(PREFACTORS))
         shift = draw(st.integers(-4, 4)) if prefactor == "power2" else 0
         count = draw(st.integers(0, 3))
-        roots = draw(st.sampled_from([_odd_roots(count, 1), _odd_roots(count, 3), _int_roots(count)]))
+        menu = [_odd_roots(count, 1), _odd_roots(count, 3), _int_roots(count)]
+        roots = draw(st.sampled_from(menu))
         terms.append(AnsatzTerm(prefactor, draw(st.integers(0, 4)), roots, shift))
     return Ansatz(tuple(terms))
 
@@ -263,9 +264,12 @@ class TestAnsatzEvaluator:
         for n in (1, 2):
             with pytest.raises(DomainError):
                 ansatz.basis_row(n)
-        assert ansatz.basis_row(3) == ([2, -1, -3], 2)  # 1, then (-1)^3 (1, 3) / 2
+        # the unit term is 2/2; the sign term is (-1)^3 n^j / 2 at n = 3
+        assert ansatz.basis_row(3) == ([2, -1, -3], 2)
 
-    @pytest.mark.parametrize("coeffs", [(1,), (1, 2, 3), (1, 0.5), (True, 1), (1, "2"), (1, F(1, 2))])
+    @pytest.mark.parametrize(
+        "coeffs", [(1,), (1, 2, 3), (1, 0.5), (True, 1), (1, "2"), (1, F(1, 2))]
+    )
     def test_rejects_bad_coefficients(self, coeffs):
         with pytest.raises(DomainError):
             Ansatz((AnsatzTerm("central", 1),)).value(coeffs, 3)
