@@ -5,9 +5,10 @@ Each file under ``tests/golden`` is the exact stdout of one ``moments``
 command, trailing newline included, so a change to how a formula is
 stored, evaluated or rendered, or to how ``verify`` computes its checks,
 must leave these bytes as they are.  The
-rediscovery report, the m <= 16, n <= 60 value tables and the even-D
-searches are pinned by their sha256 digests instead of files of 41 KB
-to about 0.7 MB each.
+rediscovery report, the m <= 16, n <= 60 value tables, the even-D
+searches and the theorem closed forms at every reading of their switches
+are pinned by their sha256 digests instead of files of 41 KB to about
+0.7 MB each.
 """
 
 import hashlib
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from binomial_moments import moments
 from binomial_moments.cli import main
 from binomial_moments.conjecture import SearchConfig, explore_D_even, rediscover_all
 
@@ -31,6 +33,20 @@ TABLE_M16_N60_SHA256 = {
     "theorem": "8d620390a03ada2447cb2d23c36791958b94234ae79e65e1a1de2f8a3be9b41a",
 }
 
+# Every theorem closed form at each reading of its switch, the default and
+# the rejected one, for 1 <= t <= 10 and 1 <= n <= 60 (odd C only where
+# n > t + 1).  The tables above pin only the default readings.  sha256 of
+# the lines "name switch=reading t n value", 414405 bytes.
+CLOSED_FORM_READINGS = (
+    ("even_moment_a", None, (None,)),
+    ("odd_moment_a", None, (None,)),
+    ("even_moment_b", None, (None,)),
+    ("odd_moment_b", None, (None,)),
+    ("even_moment_c", "global_sign", (True, False)),
+    ("odd_moment_c", "shifted_sigma", (True, False)),
+    ("odd_moment_d", "sign_first_term_only", (True, False)),
+)
+CLOSED_FORM_READINGS_SHA256 = "b075cdd599d3bf3c181456b095edb660d3b65bca57545e80501f55aa185ffb51"
 
 # sha256 of the stdout of `moments discover D even T` at the default search
 # bounds, 209264, 230185, 251900 and 271287 bytes for T = 0..3.
@@ -125,3 +141,18 @@ def test_large_value_table_digest(capsys, method):
 def test_rediscovery_report_digest():
     text = json.dumps(rediscover_all().to_dict(), indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == REDISCOVERY_SHA256
+
+
+def test_closed_form_readings_digest():
+    lines = []
+    for name, switch, readings in CLOSED_FORM_READINGS:
+        form = getattr(moments, name)
+        for reading in readings:
+            kwargs = {} if switch is None else {switch: reading}
+            for t in range(1, 11):
+                for n in range(1, 61):
+                    if name == "odd_moment_c" and n <= t + 1:
+                        continue
+                    lines.append(f"{name} {switch}={reading} {t} {n} {form(t, n, **kwargs)}\n")
+    text = "".join(lines).encode()
+    assert hashlib.sha256(text).hexdigest() == CLOSED_FORM_READINGS_SHA256
