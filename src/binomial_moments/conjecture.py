@@ -165,6 +165,19 @@ def solve_exact(
     return [Fraction(v, det) for v in x_det]
 
 
+def _sorted_nodes(name: str, nodes: Sequence[int]) -> list[int]:
+    """The nodes as a sorted list, after checking that each one is an int."""
+    try:
+        it = iter(nodes)
+    except TypeError:
+        raise DomainError(f"fit: {name} must be an iterable of ints, got {nodes!r}") from None
+    out = list(it)
+    for n in out:
+        if type(n) is not int:
+            raise DomainError(f"fit: the nodes in {name} must be ints, got {n!r}")
+    return sorted(out)
+
+
 def fit(
     family: str,
     power: int,
@@ -182,8 +195,8 @@ def fit(
     """
     if not isinstance(ansatz, Ansatz):
         raise DomainError(f"fit needs an Ansatz, got {ansatz!r}")
-    samples = sorted(sample_ns)
-    holdout = sorted(holdout_ns)
+    samples = _sorted_nodes("sample_ns", sample_ns)
+    holdout = _sorted_nodes("holdout_ns", holdout_ns)
     if len(set(samples)) != len(samples) or len(set(holdout)) != len(holdout):
         raise DomainError("duplicate nodes")
     if set(samples) & set(holdout):

@@ -263,6 +263,23 @@ class TestFit:
         with pytest.raises(DomainError):
             fit("C", 2, rooted, [3, 4, 5], [6])  # node on the root n = 3
 
+    @pytest.mark.parametrize(
+        "samples, holdout",
+        [
+            (["1", "2"], []),
+            ([1, 2], [None]),
+            ([1, 2.0], [3]),
+            ([True, 2], [3]),
+            ([1, 2], [F(3)]),
+            (5, []),
+            ([1, 2], 3),
+        ],
+    )
+    def test_rejects_non_int_nodes(self, samples, holdout):
+        # a str or None node used to reach sorted() and raise TypeError
+        with pytest.raises(DomainError):
+            fit("A", 2, self.A2, samples, holdout)
+
     def test_deterministic(self):
         a = fit("D", 3, Ansatz((AnsatzTerm("bracket", 2), AnsatzTerm("unit", 2))), range(5, 11), range(11, 21))
         b = fit("D", 3, Ansatz((AnsatzTerm("bracket", 2), AnsatzTerm("unit", 2))), range(5, 11), range(11, 21))
