@@ -46,7 +46,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DomainError,
@@ -58,7 +58,7 @@ from .errors import (
     require_rationals,
 )
 from .exact import HALF, Scalar, binomial, bracket, central_binomial, falling, rising
-from .sigma import sigma_row, sigma_series
+from .sigma import sigma_row, sigma_row_ints, sigma_series
 
 FAMILIES = ("A", "B", "C", "D")
 METHODS = ("oracle", "theorem", "corollary")
@@ -121,61 +121,101 @@ def oracle(q: MomentQuery) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Closed forms, one per family/parity.  t is the half exponent: even sums
-# have m = 2t, odd sums m = 2t + 1.  Each evaluator fetches the row
-# sigma_{t,0..t}(y) once from sigma_row (one O(t^2) recurrence, cached per
-# (t, y)) and reads sigma_{t,l} as row[l].  The row is total in y, so no
+# have m = 2t, odd sums m = 2t + 1.  Each evaluator fetches the int row
+# S_l = q^(2(t-l)) sigma_{t,l}(y), y = p/q, once from sigma_row_ints (one
+# O(t^2) recurrence, cached per (t, y)), sums its t + 1 terms in int over
+# one common denominator and builds one Fraction per value.  For y = n
+# (A, B) every term is an int.  For y = n - 1/2 (C, D) the powers of 2
+# from falling(2n - 1/2, 2l), (1/2)_l (1/2)_{l+1} and q^(2(t-l)) combine
+# into one power of 2 per form, and the bracket and linear denominators
+# are folded into a running denominator.  The row is total in y, so no
 # pole bookkeeping is needed here.
 # ---------------------------------------------------------------------------
 
 
+def _check_half_exponent(where: str, t: int, n: int) -> None:
+    if type(t) is not int or type(n) is not int:
+        require_ints(where, t=t, n=n)
+    if t < 0 or n < 1:
+        raise DomainError(f"{where} requires t >= 0 and n >= 1, got t={t}, n={n}")
+
+
+def _bracket_ints(upper: int, lower: int) -> tuple[int, int]:
+    """[upper, lower] as an int pair (num, den): C(2u, 2k), C(u, k) in the
+    range 0 <= k <= u where ``bracket`` uses that quotient, else the
+    numerator and denominator of ``bracket``."""
+    if 0 <= lower <= upper:
+        return math.comb(2 * upper, 2 * lower), math.comb(upper, lower)
+    b = bracket(upper, lower)
+    return b.numerator, b.denominator
+
+
+def _sum_over(terms: Iterable[tuple[int, int]], scale: int) -> Fraction:
+    """The sum of num / den over the (num, den) int pairs, divided by scale,
+    as one Fraction: the sum runs over one running denominator, unreduced."""
+    total, den = 0, 1
+    for num, d in terms:
+        total, den = total * d + num * den, den * d
+    return Fraction(total, den * scale)
+
+
 def even_moment_a(t: int, n: int) -> Fraction:
-    """A_{2t}(n) = sum_l (-1)^l 2^(2n-2l-1) falling(2n, 2l) sigma_{t,l}(n), t >= 1."""
-    row = sigma_row(t, n)
-    total = Fraction(0)
-    for ell in range(t + 1):
-        total += (
-            (-1) ** ell
-            * Fraction(2) ** (2 * n - 2 * ell - 1)
-            * falling(2 * n, 2 * ell)
-            * row[ell]
-        )
-    return total
+    """A_{2t}(n) = sum_l (-1)^l 2^(2n-2l-1) falling(2n, 2l) sigma_{t,l}(n), t >= 1.
+
+    Summed as ints 4^(n-l) falling(2n, 2l) sigma_{t,l}(n) over 2; the terms
+    with l > n vanish.
+    """
+    _check_half_exponent("even_moment_a", t, n)
+    row, _ = sigma_row_ints(t, n)
+    total = 0
+    for ell in range(min(t, n) + 1):
+        term = math.perm(2 * n, 2 * ell) * row[ell] << 2 * (n - ell)
+        total += -term if ell % 2 else term
+    return Fraction(total, 2)
 
 
 def odd_moment_a(t: int, n: int) -> Fraction:
-    """A_{2t+1}(n) = C(2n,n)/2 * sum_l (-1)^l falling(n,l) falling(n,l+1) sigma_{t,l}(n)."""
-    row = sigma_row(t, n)
-    total = Fraction(0)
-    for ell in range(t + 1):
-        total += (-1) ** ell * falling(n, ell) * falling(n, ell + 1) * row[ell]
-    return central_binomial(n) * total / 2
+    """A_{2t+1}(n) = C(2n,n)/2 * sum_l (-1)^l falling(n,l) falling(n,l+1) sigma_{t,l}(n).
+
+    Every term is an int, and the terms with l >= n vanish.
+    """
+    _check_half_exponent("odd_moment_a", t, n)
+    row, _ = sigma_row_ints(t, n)
+    total = 0
+    for ell in range(min(t, n - 1) + 1):
+        term = math.perm(n, ell) * math.perm(n, ell + 1) * row[ell]
+        total += -term if ell % 2 else term
+    return Fraction(math.comb(2 * n, n) * total, 2)
 
 
 def even_moment_b(t: int, n: int) -> Fraction:
     """B_{2t}(n) = (-1)^(n-1)/2 * sum_l falling(2n,2l) C(l, 2n-l) sigma_{t,l}(n), t >= 1.
 
-    Every summand vanishes for n > t, which is the vanishing phenomenon the
-    verify command checks on a grid.
+    C(l, 2n-l) vanishes unless n <= l <= 2n, so every summand vanishes for
+    n > t, which is the vanishing phenomenon the verify command checks on
+    a grid.
     """
-    row = sigma_row(t, n)
-    total = Fraction(0)
-    for ell in range(t + 1):
-        total += falling(2 * n, 2 * ell) * binomial(ell, 2 * n - ell) * row[ell]
-    return (-1) ** (n - 1) * total / 2
+    _check_half_exponent("even_moment_b", t, n)
+    row, _ = sigma_row_ints(t, n)
+    total = 0
+    for ell in range(n, min(t, 2 * n) + 1):
+        total += math.perm(2 * n, 2 * ell) * math.comb(ell, 2 * n - ell) * row[ell]
+    return Fraction(total if n % 2 else -total, 2)
 
 
 def odd_moment_b(t: int, n: int) -> Fraction:
-    """B_{2t+1}(n) = sum_l (-1)^l falling(2n,2l) C(2n-2l-2, n-l-1) sigma_{t,l}(n)."""
-    row = sigma_row(t, n)
-    total = Fraction(0)
-    for ell in range(t + 1):
-        total += (
-            (-1) ** ell
-            * falling(2 * n, 2 * ell)
-            * binomial(2 * n - 2 * ell - 2, n - ell - 1)
-            * row[ell]
-        )
-    return total
+    """B_{2t+1}(n) = sum_l (-1)^l falling(2n,2l) C(2n-2l-2, n-l-1) sigma_{t,l}(n).
+
+    Every term is an int, and the terms with l >= n vanish.
+    """
+    _check_half_exponent("odd_moment_b", t, n)
+    row, _ = sigma_row_ints(t, n)
+    total = 0
+    for ell in range(min(t, n - 1) + 1):
+        k = n - ell - 1
+        term = math.perm(2 * n, 2 * ell) * math.comb(2 * k, k) * row[ell]
+        total += -term if ell % 2 else term
+    return Fraction(total)
 
 
 def even_moment_c(t: int, n: int, global_sign: bool = True) -> Fraction:
@@ -191,20 +231,24 @@ def even_moment_c(t: int, n: int, global_sign: bool = True) -> Fraction:
     The sign convention is switchable: ``global_sign=True`` multiplies the
     whole sum by (-1)^n (the reading that matches the oracle everywhere,
     see the verify report); ``False`` alternates (-1)^l per summand.
+
+    With (1/2)_l = (2l-1)!! / 2^l and sigma_{t,l}(y) = S_l / 4^(t-l), every
+    summand is (2l-1)!! (2l+1)!! S_l [2n, l] / (2n-2l-1) over 2^(2t+1).
     """
-    y = Fraction(2 * n - 1, 2)
-    row = sigma_row(t, y)
-    total = Fraction(0)
-    for ell in range(t + 1):
-        term = (
-            rising(HALF, ell)
-            * rising(HALF, ell + 1)
-            / (2 * n - 2 * ell - 1)
-            * bracket(2 * n, ell)
-            * row[ell]
-        )
-        total += term if global_sign or ell % 2 == 0 else -term
-    return (-1) ** n * total if global_sign else total
+    _check_half_exponent("even_moment_c", t, n)
+    row, _ = sigma_row_ints(t, Fraction(2 * n - 1, 2))
+
+    def terms():
+        odd_fact = 1  # (2l-1)!!
+        for ell in range(t + 1):
+            bn, bd = _bracket_ints(2 * n, ell)
+            num = odd_fact * odd_fact * (2 * ell + 1) * row[ell] * bn
+            if (n if global_sign else ell) % 2:
+                num = -num
+            yield num, (2 * n - 2 * ell - 1) * bd
+            odd_fact *= 2 * ell + 1
+
+    return _sum_over(terms(), 2 << 2 * t)
 
 
 def odd_moment_c(t: int, n: int, shifted_sigma: bool = True) -> Fraction:
@@ -216,22 +260,30 @@ def odd_moment_c(t: int, n: int, shifted_sigma: bool = True) -> Fraction:
 
     ``shifted_sigma`` selects the symmetric-function argument: y = n - 1/2
     (True; the reading that matches the oracle) or y = n (False).
+
+    falling(2n-1/2, 2l) = F_l / 4^l with F_l = prod_{i<2l} (4n-1-2i), and
+    sigma_{t,l}(y) = S_l / q^(2(t-l)) with q = 2 or 1, so with c = 2/q every
+    summand carries c^(2(t-l)) over the common 8 * 4^t.
     """
+    _check_half_exponent("odd_moment_c", t, n)
     if n <= t + 1:
         raise PreconditionViolated(f"odd C closed form requires n > {t + 1}, got n={n}")
     y = Fraction(2 * n - 1, 2) if shifted_sigma else Fraction(n)
-    half_arg = Fraction(4 * n - 1, 2)  # 2n - 1/2
-    row = sigma_row(t, y)
-    total = Fraction(0)
-    for ell in range(t + 1):
-        inner = Fraction(2 * n - 2 * ell - 1, n - ell - 1) * bracket(2 * n - 2 * ell, n - ell)
-        inner += (
-            (-1) ** n
-            * Fraction((2 * n + 1) * (2 * ell + 1), n - ell - 1)
-            * bracket(2 * n - 2 * ell, -ell)
-        )
-        total += (-1) ** ell * falling(half_arg, 2 * ell) * inner * row[ell]
-    return total / 8
+    row, q = sigma_row_ints(t, y)
+    c2 = (2 // q) ** 2
+    sign_n = -1 if n % 2 else 1
+
+    def terms():
+        f = 1  # F_l
+        for ell in range(t + 1):
+            an, ad = _bracket_ints(2 * n - 2 * ell, n - ell)
+            bn, bd = _bracket_ints(2 * n - 2 * ell, -ell)
+            inner = (2 * n - 2 * ell - 1) * an * bd + sign_n * (2 * n + 1) * (2 * ell + 1) * bn * ad
+            num = f * inner * row[ell] * c2 ** (t - ell)
+            yield -num if ell % 2 else num, ad * bd * (n - ell - 1)
+            f *= (4 * n - 1 - 4 * ell) * (4 * n - 3 - 4 * ell)
+
+    return _sum_over(terms(), 8 << 2 * t)
 
 
 def odd_moment_d(t: int, n: int, sign_first_term_only: bool = True) -> Fraction:
@@ -241,22 +293,28 @@ def odd_moment_d(t: int, n: int, sign_first_term_only: bool = True) -> Fraction:
     ``sign_first_term_only`` pins where the alternating sign sits: on the
     diagonal bracket term only (True; matches the oracle) or on both terms
     (False).
+
+    falling(2n-1/2, 2l) = F_l / 4^l with F_l = prod_{i<2l} (4n-1-2i) and
+    sigma_{t,l}(n-1/2) = S_l / 4^(t-l), so every summand is over 4^(t+1).
     """
-    y = Fraction(2 * n - 1, 2)
-    half_arg = Fraction(4 * n - 1, 2)
-    row = sigma_row(t, y)
-    total = Fraction(0)
-    for ell in range(t + 1):
-        first = (
-            (-1) ** ell
-            * Fraction(2 * n - 2 * ell - 1, 4)
-            * bracket(2 * n - 2 * ell, n - ell)
-        )
-        second = Fraction(2 * ell + 1, 4) / bracket(2 * n - ell, ell)
-        if not sign_first_term_only:
-            second *= (-1) ** ell
-        total += falling(half_arg, 2 * ell) * (first + second) * row[ell]
-    return total
+    _check_half_exponent("odd_moment_d", t, n)
+    row, _ = sigma_row_ints(t, Fraction(2 * n - 1, 2))
+
+    def terms():
+        f = 1  # F_l
+        for ell in range(t + 1):
+            an, ad = _bracket_ints(2 * n - 2 * ell, n - ell)
+            bn, bd = _bracket_ints(2 * n - ell, ell)
+            first = (2 * n - 2 * ell - 1) * an * bn
+            second = (2 * ell + 1) * bd * ad
+            if ell % 2:
+                first = -first
+                if not sign_first_term_only:
+                    second = -second
+            yield f * (first + second) * row[ell], ad * bn
+            f *= (4 * n - 1 - 4 * ell) * (4 * n - 3 - 4 * ell)
+
+    return _sum_over(terms(), 4 << 2 * t)
 
 
 def closed_form(q: MomentQuery) -> EvalResult:
@@ -769,7 +827,10 @@ def c_even_first_form(t: int, n: int) -> Fraction:
             * sigma_{t,l}(n - 1/2)
 
     It equals ``even_moment_c`` (the second form), which verify checks.
+    It stays a sum of Fraction products over ``sigma_row``, a reading
+    independent of the int sums above.
     """
+    _check_half_exponent("c_even_first_form", t, n)
     y = Fraction(2 * n - 1, 2)
     row = sigma_row(t, y)
     total = Fraction(0)

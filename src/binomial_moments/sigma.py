@@ -8,8 +8,11 @@ shifts (y-0)^2, ..., (y-l)^2, and it also has an explicit single-sum
 expression whose denominator falling(2y, 1+2l) can vanish.
 
 ``sigma_row`` is the production form: the whole row l = 0..m for one y
-from the complete-homogeneous recurrence, which the closed forms in
-``moments`` read.  ``sigma_series``, ``sigma_monomial`` and
+from the complete-homogeneous recurrence, run in int.  For y = p/q in
+lowest terms the row is kept as S_l = q^(2(m-l)) sigma_{m,l}(y), whose
+recurrence has int coefficients (p - lq)^2, so sigma_{m,l} = S_l /
+q^(2(m-l)).  The closed forms in ``moments`` read that int row through
+``sigma_row_ints``.  ``sigma_series``, ``sigma_monomial`` and
 ``sigma_explicit`` are the three routes above, implemented
 independently; their agreement with each other is enforced by tests and
 by the verify command, and with ``sigma_row`` by the tests.
@@ -48,34 +51,48 @@ def _check_args(m: int, ell: int, y: Scalar = 0) -> None:
 
 
 def sigma_row(m: int, y: Scalar) -> tuple[Fraction, ...]:
-    """(sigma_{m,0}(y), ..., sigma_{m,m}(y)) in O(m^2) rational steps.
+    """(sigma_{m,0}(y), ..., sigma_{m,m}(y)) in O(m^2) int steps.
 
     Row k comes from row k-1 by the complete-homogeneous recurrence
     sigma_{k,l} = sigma_{k-1,l-1} + (y-l)^2 sigma_{k-1,l} (Macdonald,
     Symmetric Functions and Hall Polynomials, I.2), where terms with l
-    outside 0..k-1 are 0 and sigma_{0,0} = 1.
+    outside 0..k-1 are 0 and sigma_{0,0} = 1.  It runs on the int row of
+    ``sigma_row_ints``, and each entry is one Fraction S_l / q^(2(m-l)).
+    """
+    ints, q = sigma_row_ints(m, y)
+    if q == 1:
+        return tuple(map(Fraction, ints))
+    return tuple(Fraction(s, q ** (2 * (m - ell))) for ell, s in enumerate(ints))
+
+
+def sigma_row_ints(m: int, y: Scalar) -> tuple[tuple[int, ...], int]:
+    """((S_0, ..., S_m), q) with sigma_{m,l}(y) = S_l / q^(2(m-l)), y = p/q.
+
+    Scaling row k by q^(2(k-l)) turns the recurrence into
+    S_{k,l} = S_{k-1,l-1} + (p - lq)^2 S_{k-1,l} with S_{k,k} = 1: every
+    step is an int product and no power of q appears inside the loop.
     """
     _check_args(m, 0, y=y)
     return _sigma_row(m, y)
 
 
-# sigma_row and sigma_series check their arguments before the cache sees
-# them, so no warm entry answers True or 2.0 and an unhashable y raises
-# DomainError.  Both caches hold one row per (m, y); 4096 rows sit above
-# the peaks of flagship verify (862 sigma_series rows) and of the
+# sigma_row_ints and sigma_series check their arguments before the cache
+# sees them, so no warm entry answers True or 2.0 and an unhashable y
+# raises DomainError.  Both caches hold one row per (m, y); 4096 rows sit
+# above the peaks of flagship verify (862 sigma_series rows) and of the
 # m <= 16, n <= 60 table (1080 sigma_row rows).
 @lru_cache(maxsize=4096)
-def _sigma_row(m: int, y: Scalar) -> tuple[Fraction, ...]:
-    y = Fraction(y)
-    shifts = [(y - j) ** 2 for j in range(m + 1)]
-    row = [Fraction(1)]  # sigma_{0,0}
+def _sigma_row(m: int, y: Scalar) -> tuple[tuple[int, ...], int]:
+    p, q = y.numerator, y.denominator
+    shifts = [(p - j * q) ** 2 for j in range(m + 1)]
+    row = [1]  # S_{0,0}
     for k in range(1, m + 1):
         row = (
             [shifts[0] * row[0]]
             + [row[ell - 1] + shifts[ell] * row[ell] for ell in range(1, k)]
-            + [row[k - 1]]  # sigma_{k,k} = sigma_{k-1,k-1} = 1
+            + [1]  # S_{k,k} = 1
         )
-    return tuple(row)
+    return tuple(row), q
 
 
 def sigma_series(m: int, ell: int, y: Scalar) -> Fraction:

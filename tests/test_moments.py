@@ -13,7 +13,7 @@ from binomial_moments.errors import (
     NotTabulated,
     PreconditionViolated,
 )
-from binomial_moments.exact import bracket
+from binomial_moments.exact import HALF, binomial, bracket, central_binomial, falling, rising
 from binomial_moments.moments import (
     COROLLARIES,
     PREFACTORS,
@@ -23,17 +23,22 @@ from binomial_moments.moments import (
     _int_roots,
     _odd_roots,
     b1_second_form,
+    c_even_first_form,
     closed_form,
     corollary_value,
     evaluate,
+    even_moment_a,
     even_moment_b,
     even_moment_c,
     lambda_check,
     lemma1_residual,
+    odd_moment_a,
+    odd_moment_b,
     odd_moment_c,
     odd_moment_d,
     oracle,
 )
+from binomial_moments.sigma import sigma_series
 
 F = Fraction
 
@@ -314,6 +319,151 @@ class TestRoutesAgree:
             assert corollary_value(MomentQuery(family, m, min_n)).value == oracle(
                 MomentQuery(family, m, min_n)
             )
+
+
+# References for the seven closed forms: each theorem summed term by term
+# in Fraction arithmetic, over sigma_{t,l} from the series route.
+
+
+def fraction_row(t, y):
+    return [sigma_series(t, ell, y) for ell in range(t + 1)]
+
+
+def even_a_reference(t, n):
+    row = fraction_row(t, n)
+    total = Fraction(0)
+    for ell in range(t + 1):
+        total += (-1) ** ell * F(2) ** (2 * n - 2 * ell - 1) * falling(2 * n, 2 * ell) * row[ell]
+    return total
+
+
+def odd_a_reference(t, n):
+    row = fraction_row(t, n)
+    total = Fraction(0)
+    for ell in range(t + 1):
+        total += (-1) ** ell * falling(n, ell) * falling(n, ell + 1) * row[ell]
+    return central_binomial(n) * total / 2
+
+
+def even_b_reference(t, n):
+    row = fraction_row(t, n)
+    total = Fraction(0)
+    for ell in range(t + 1):
+        total += falling(2 * n, 2 * ell) * binomial(ell, 2 * n - ell) * row[ell]
+    return (-1) ** (n - 1) * total / 2
+
+
+def odd_b_reference(t, n):
+    row = fraction_row(t, n)
+    total = Fraction(0)
+    for ell in range(t + 1):
+        total += (
+            (-1) ** ell
+            * falling(2 * n, 2 * ell)
+            * binomial(2 * n - 2 * ell - 2, n - ell - 1)
+            * row[ell]
+        )
+    return total
+
+
+def even_c_reference(t, n, global_sign=True):
+    row = fraction_row(t, F(2 * n - 1, 2))
+    total = Fraction(0)
+    for ell in range(t + 1):
+        term = (
+            rising(HALF, ell)
+            * rising(HALF, ell + 1)
+            / (2 * n - 2 * ell - 1)
+            * bracket(2 * n, ell)
+            * row[ell]
+        )
+        total += term if global_sign or ell % 2 == 0 else -term
+    return (-1) ** n * total if global_sign else total
+
+
+def odd_c_reference(t, n, shifted_sigma=True):
+    if n <= t + 1:
+        raise PreconditionViolated(f"odd C closed form requires n > {t + 1}, got n={n}")
+    row = fraction_row(t, F(2 * n - 1, 2) if shifted_sigma else F(n))
+    total = Fraction(0)
+    for ell in range(t + 1):
+        inner = F(2 * n - 2 * ell - 1, n - ell - 1) * bracket(2 * n - 2 * ell, n - ell)
+        inner += (
+            (-1) ** n
+            * F((2 * n + 1) * (2 * ell + 1), n - ell - 1)
+            * bracket(2 * n - 2 * ell, -ell)
+        )
+        total += (-1) ** ell * falling(F(4 * n - 1, 2), 2 * ell) * inner * row[ell]
+    return total / 8
+
+
+def odd_d_reference(t, n, sign_first_term_only=True):
+    row = fraction_row(t, F(2 * n - 1, 2))
+    total = Fraction(0)
+    for ell in range(t + 1):
+        first = (-1) ** ell * F(2 * n - 2 * ell - 1, 4) * bracket(2 * n - 2 * ell, n - ell)
+        second = F(2 * ell + 1, 4) / bracket(2 * n - ell, ell)
+        if not sign_first_term_only:
+            second *= (-1) ** ell
+        total += falling(F(4 * n - 1, 2), 2 * ell) * (first + second) * row[ell]
+    return total
+
+
+# (form, its reference, the switch and its readings)
+CLOSED_FORMS = [
+    (even_moment_a, even_a_reference, None, (None,)),
+    (odd_moment_a, odd_a_reference, None, (None,)),
+    (even_moment_b, even_b_reference, None, (None,)),
+    (odd_moment_b, odd_b_reference, None, (None,)),
+    (even_moment_c, even_c_reference, "global_sign", (True, False)),
+    (odd_moment_c, odd_c_reference, "shifted_sigma", (True, False)),
+    (odd_moment_d, odd_d_reference, "sign_first_term_only", (True, False)),
+]
+READINGS = [
+    pytest.param(form, ref, {} if switch is None else {switch: r}, id=f"{form.__name__}-{r}")
+    for form, ref, switch, readings in CLOSED_FORMS
+    for r in readings
+]
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        value = fn(*args, **kwargs)
+    except PreconditionViolated as exc:
+        return ("precondition", str(exc))
+    return ("value", value, type(value))
+
+
+class TestIntClosedForms:
+    """The int sums equal the term-by-term Fraction sums they replace, at
+    every reading of every switch, from t = 0 and n = 1 up."""
+
+    @pytest.mark.parametrize("form, reference, kwargs", READINGS)
+    @given(t=st.integers(0, 12), n=st.integers(1, 80) | st.integers(200, 650))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_fraction_reference(self, form, reference, kwargs, t, n):
+        assert outcome(form, t, n, **kwargs) == outcome(reference, t, n, **kwargs)
+
+    @pytest.mark.parametrize("form, reference, kwargs", READINGS)
+    def test_matches_fraction_reference_on_a_grid(self, form, reference, kwargs):
+        for t in range(0, 7):
+            for n in range(1, 2 * t + 4):
+                assert outcome(form, t, n, **kwargs) == outcome(reference, t, n, **kwargs)
+
+
+EVALUATORS = [form for form, _, _, _ in CLOSED_FORMS] + [c_even_first_form]
+
+
+@pytest.mark.parametrize(
+    "t, n",
+    [(1, 2.0), (1, 3.0), (1, True), (1, "4"), (1, F(4)), (1, 0), (1, -2), (1.0, 4), (True, 4), (-1, 4)],
+)
+@pytest.mark.parametrize("form", EVALUATORS, ids=lambda f: f.__name__)
+def test_closed_forms_reject_arguments_outside_their_domain(form, t, n):
+    # an int sum such as 4 ** (n - l) would carry a float n into the value
+    form(1, 4)  # warm every cache the form reads
+    with pytest.raises(DomainError):
+        form(t, n)
 
 
 class TestVariantEvidence:

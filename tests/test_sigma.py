@@ -15,6 +15,7 @@ from binomial_moments.sigma import (
     sigma_monomial,
     sigma_poly,
     sigma_row,
+    sigma_row_ints,
     sigma_series,
 )
 from binomial_moments.verify import VerifyConfig, check_sigma_three_way
@@ -147,6 +148,7 @@ def test_cross_check_routes_do_not_read_sigma_row(monkeypatch):
 
     monkeypatch.setattr(sigma, "_sigma_row", refuse)
     monkeypatch.setattr(sigma, "sigma_row", refuse)
+    monkeypatch.setattr(sigma, "sigma_row_ints", refuse)
     sigma._sigma_series.cache_clear()
     assert sigma_series(3, 1, F(5)) == 1281
     assert sigma_monomial(3, 1, F(5)) == 1281
@@ -215,7 +217,50 @@ def test_int_routes_match_references_at_every_pole():
                 assert (got[0] == "pole") == (0 <= 2 * y <= 2 * ell)
 
 
+def row_reference(m, y):
+    """Reference for ``sigma_row``: the complete-homogeneous recurrence with
+    one Fraction per product."""
+    y = Fraction(y)
+    shifts = [(y - j) ** 2 for j in range(m + 1)]
+    row = [Fraction(1)]
+    for k in range(1, m + 1):
+        row = (
+            [shifts[0] * row[0]]
+            + [row[ell - 1] + shifts[ell] * row[ell] for ell in range(1, k)]
+            + [row[k - 1]]
+        )
+    return tuple(row)
+
+
 class TestSigmaRow:
+    @given(m=st.integers(0, 14), y=wide_y)
+    @settings(max_examples=300, deadline=None)
+    def test_int_row_matches_fraction_reference(self, m, y):
+        want = row_reference(m, y)
+        ints, q = sigma_row_ints(m, y)
+        assert q == Fraction(y).denominator and len(ints) == m + 1
+        assert all(type(s) is int for s in ints)
+        assert tuple(F(s, q ** (2 * (m - ell))) for ell, s in enumerate(ints)) == want
+        got = sigma_row(m, y)
+        assert got == want and all(type(v) is Fraction for v in got)
+
+    @pytest.mark.parametrize("y", INEXACT_Y)
+    def test_int_row_rejects_inexact_argument(self, y):
+        assert sigma_row_ints(2, 2) == ((16, 5, 1), 1)
+        with pytest.raises(DomainError):
+            sigma_row_ints(2, y)
+
+    @pytest.mark.parametrize("m", [-1, True, 1.0, F(1)])
+    def test_int_row_rejects_bad_index(self, m):
+        assert sigma_row_ints(1, 3) == ((9, 1), 1)
+        with pytest.raises(DomainError):
+            sigma_row_ints(m, 3)
+
+    def test_int_row_keeps_the_denominator(self):
+        # y = 7/2: S_l = 4^(2-l) sigma_{2,l}(7/2) = (2401, 25 + 49, 1)
+        assert sigma_row_ints(2, F(7, 2)) == ((2401, 74, 1), 2)
+        assert sigma_row(2, F(7, 2)) == (F(2401, 16), F(74, 4), 1)
+
     def test_known_rows(self):
         assert sigma_row(0, F(5)) == (1,)
         assert sigma_row(1, F(5)) == (25, 1)
