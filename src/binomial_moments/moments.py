@@ -57,7 +57,7 @@ from .errors import (
     require_ints,
     require_rationals,
 )
-from .exact import HALF, Scalar, binomial, bracket, central_binomial, falling, rising
+from .exact import Scalar, binomial, bracket, central_binomial, falling
 from .sigma import sigma_row, sigma_row_ints, sigma_series
 
 FAMILIES = ("A", "B", "C", "D")
@@ -278,7 +278,8 @@ def odd_moment_c(t: int, n: int, shifted_sigma: bool = True) -> Fraction:
         for ell in range(t + 1):
             an, ad = _bracket_ints(2 * n - 2 * ell, n - ell)
             bn, bd = _bracket_ints(2 * n - 2 * ell, -ell)
-            inner = (2 * n - 2 * ell - 1) * an * bd + sign_n * (2 * n + 1) * (2 * ell + 1) * bn * ad
+            inner = (2 * n - 2 * ell - 1) * an * bd
+            inner += sign_n * (2 * n + 1) * (2 * ell + 1) * bn * ad
             num = f * inner * row[ell] * c2 ** (t - ell)
             yield -num if ell % 2 else num, ad * bd * (n - ell - 1)
             f *= (4 * n - 1 - 4 * ell) * (4 * n - 3 - 4 * ell)

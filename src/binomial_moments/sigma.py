@@ -60,8 +60,6 @@ def sigma_row(m: int, y: Scalar) -> tuple[Fraction, ...]:
     ``sigma_row_ints``, and each entry is one Fraction S_l / q^(2(m-l)).
     """
     ints, q = sigma_row_ints(m, y)
-    if q == 1:
-        return tuple(map(Fraction, ints))
     return tuple(Fraction(s, q ** (2 * (m - ell))) for ell, s in enumerate(ints))
 
 

@@ -456,7 +456,18 @@ EVALUATORS = [form for form, _, _, _ in CLOSED_FORMS] + [c_even_first_form]
 
 @pytest.mark.parametrize(
     "t, n",
-    [(1, 2.0), (1, 3.0), (1, True), (1, "4"), (1, F(4)), (1, 0), (1, -2), (1.0, 4), (True, 4), (-1, 4)],
+    [
+        (1, 2.0),
+        (1, 3.0),
+        (1, True),
+        (1, "4"),
+        (1, F(4)),
+        (1, 0),
+        (1, -2),
+        (1.0, 4),
+        (True, 4),
+        (-1, 4),
+    ],
 )
 @pytest.mark.parametrize("form", EVALUATORS, ids=lambda f: f.__name__)
 def test_closed_forms_reject_arguments_outside_their_domain(form, t, n):
