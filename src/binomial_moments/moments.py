@@ -243,7 +243,7 @@ def even_moment_c(t: int, n: int, global_sign: bool = True) -> Fraction:
         for ell in range(t + 1):
             bn, bd = _bracket_ints(2 * n, ell)
             num = odd_fact * odd_fact * (2 * ell + 1) * row[ell] * bn
-            if (n if global_sign else ell) % 2:
+            if (n if global_sign else ell) % 2:  # (-1)^n on every term, or (-1)^l
                 num = -num
             yield num, (2 * n - 2 * ell - 1) * bd
             odd_fact *= 2 * ell + 1
