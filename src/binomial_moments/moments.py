@@ -152,10 +152,13 @@ def _bracket_ints(upper: int, lower: int) -> tuple[int, int]:
 
 def _sum_over(terms: Iterable[tuple[int, int]], scale: int) -> Fraction:
     """The sum of num / den over the (num, den) int pairs, divided by scale,
-    as one Fraction: the sum runs over one running denominator, unreduced."""
+    as one Fraction.  The running denominator is the lcm of the dens so
+    far: at large n the diagonal brackets' dens share most of their
+    factors, and a plain product would make the final gcd dearer."""
     total, den = 0, 1
     for num, d in terms:
-        total, den = total * d + num * den, den * d
+        g = math.gcd(den, d)
+        total, den = total * (d // g) + num * (den // g), den * (d // g)
     return Fraction(total, den * scale)
 
 
