@@ -102,8 +102,7 @@ def binomial(x: Scalar, k: int) -> Fraction:
     return falling(x, k) / math.factorial(k)
 
 
-# Only brackets outside 0 <= k <= n get here: 131 entries for an m <= 16,
-# n <= 60 table.
+# Only brackets with a negative upper index get here.
 @lru_cache(maxsize=256)
 def _rising_half(n: int) -> Fraction:
     """rising(1/2, n) for any integer n; never zero, never a pole.
@@ -127,12 +126,23 @@ def bracket(upper: int, lower: int) -> Fraction:
     For 0 <= k <= n it equals C(2n, 2k) / C(n, k) and is computed that
     way.  Proof: (1/2)_j = (2j)! / (4^j j!), and in the quotient the powers
     4^n / (4^k 4^(n-k)) cancel, leaving (2n)! k! (n-k)! / ((2k)! (2n-2k)! n!).
-    Every other index pair takes the Pochhammer quotient.
+
+    For n >= 0 and k >= 1, [n, -k] is a product of k small factors:
+    (1/2)_(n+k) = (1/2)_n (n+1/2)_k, so [n, -k] = 1 / ((1/2)_(-k) (n+1/2)_k)
+    = (2k)! 2^k / ((-4)^k k! prod_{i<k} (2n+1+2i))
+    = (-1)^k prod_{i<k} (2i+1) / prod_{i<k} (2n+1+2i),
+    using (1/2)_(-k) = (-4)^k k! / (2k)! and (n+1/2)_k = prod_{i<k} (2n+1+2i) / 2^k.
+    [n, n+k] = [n, -k] by the symmetry k <-> n-k of the quotient.  A
+    negative upper index takes the Pochhammer quotient.
     """
     if type(upper) is not int or type(lower) is not int:
         require_ints("bracket", upper=upper, lower=lower)
     if 0 <= lower <= upper:
         return Fraction(math.comb(2 * upper, 2 * lower), math.comb(upper, lower))
+    if upper >= 0:
+        k = -lower if lower < 0 else lower - upper
+        odd = math.prod(range(1, 2 * k, 2))
+        return Fraction((-1) ** k * odd, math.prod(range(2 * upper + 1, 2 * upper + 2 * k, 2)))
     return _rising_half(upper) / (_rising_half(lower) * _rising_half(upper - lower))
 
 

@@ -15,11 +15,18 @@ The arithmetic operators likewise raise DomainError when the other
 operand, on either side, is not a series (a polynomial for
 ``Polynomial``).
 
-``series_mul`` builds one Fraction per output coefficient: it scales
-each operand to ints by the lcm of its coefficient denominators,
-convolves the ints, and divides by the product of the two scales once
-per coefficient, where a Fraction convolution would take a gcd at every
-product.  ``geometric`` builds c^k for c = p/q as one Fraction p^k / q^k.
+A TruncatedSeries stores one int numerator per coefficient over one
+positive int denominator, ``nums`` over ``den``, with gcd(den, *nums) = 1.
+This form is canonical: den * c_k is an int for every k, so the lcm L of
+the coefficients' denominators divides den, and den / L divides den and
+every numerator c_k * den, hence is 1; equal series therefore store
+equal ints, and equality and hashing read them directly.  The
+arithmetic stays in int and divides out one gcd per result (Knuth, TAOCP
+Vol. 2, 4.5.1): ``+`` and ``-`` rescale to the lcm of the two
+denominators, ``scale`` multiplies in the scalar's numerator and
+denominator, ``series_mul`` convolves the numerators over the product of
+the denominators, ``geometric`` stores int powers and ``truncate``
+slices.  A Fraction is built only when a coefficient is read.
 """
 
 from __future__ import annotations
@@ -61,28 +68,57 @@ def _require_operand(where: str, other: object, cls: type) -> None:
         raise DomainError(f"{where}: operand must be a {cls.__name__}, got {other!r}")
 
 
-@dataclass(frozen=True)
+def _series(order: int, nums: Iterable[int], den: int) -> "TruncatedSeries":
+    """The series sum_k nums[k] T^k / den, den > 0, brought to lowest terms."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = [x // g for x in nums]
+    s = object.__new__(TruncatedSeries)
+    s._store(order, tuple(nums), den)
+    return s
+
+
+@dataclass(frozen=True, init=False)
 class TruncatedSeries:
-    """Formal power series truncated at a fixed order."""
+    """Formal power series truncated at a fixed order.
+
+    Coefficient k is nums[k] / den in the canonical form described in the
+    module docstring; ``coeffs`` and ``coefficient`` read it as a Fraction.
+    """
 
     order: int
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        if type(self.order) is not int:
-            require_ints("TruncatedSeries", order=self.order)
-        cs = self.coeffs
+    def __init__(self, order: int, coeffs: Iterable[Scalar]) -> None:
+        if type(order) is not int:
+            require_ints("TruncatedSeries", order=order)
+        cs = coeffs
         if type(cs) is not tuple or not all(type(c) is Fraction for c in cs):
             _require_iterable("TruncatedSeries", cs)
             cs = tuple(_rational("TruncatedSeries", "coefficient", c) for c in cs)
-            object.__setattr__(self, "coeffs", cs)
-        if self.order < 0:
-            raise DomainError(f"series order must be >= 0, got {self.order}")
-        if len(self.coeffs) != self.order + 1:
+        if order < 0:
+            raise DomainError(f"series order must be >= 0, got {order}")
+        if len(cs) != order + 1:
             raise DomainError(
-                f"series of order {self.order} needs {self.order + 1} coefficients, "
-                f"got {len(self.coeffs)}"
+                f"series of order {order} needs {order + 1} coefficients, got {len(cs)}"
             )
+        # Over the lcm of the denominators the numerators are already
+        # coprime to it (module docstring), so no gcd is taken.
+        den = math.lcm(*[c.denominator for c in cs])
+        self._store(order, tuple([c.numerator * (den // c.denominator) for c in cs]), den)
+
+    def _store(self, order: int, nums: tuple[int, ...], den: int) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of T^0..T^order, one Fraction each."""
+        den = self.den
+        return tuple([Fraction(x, den) for x in self.nums])
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[Scalar], order: int) -> "TruncatedSeries":
@@ -107,10 +143,12 @@ class TruncatedSeries:
             require_ints("TruncatedSeries.monomial", k=k, order=order)
         if k < 0:
             raise DomainError(f"monomial exponent must be >= 0, got {k}")
-        cs = [Fraction(0)] * (order + 1)
+        if order < 0:
+            raise DomainError(f"series order must be >= 0, got {order}")
+        nums = [0] * (order + 1)
         if k <= order:
-            cs[k] = Fraction(1)
-        return cls(order, tuple(cs))
+            nums[k] = 1
+        return _series(order, nums, 1)
 
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of T^k; raises IndexOutOfOrder outside 0..order."""
@@ -118,25 +156,34 @@ class TruncatedSeries:
             require_ints("TruncatedSeries.coefficient", k=k)
         if not 0 <= k <= self.order:
             raise IndexOutOfOrder(f"coefficient index {k} outside 0..{self.order}")
-        return self.coeffs[k]
+        return Fraction(self.nums[k], self.den)
+
+    def truncate(self, order: int) -> "TruncatedSeries":
+        """The same series cut off at a lower order, 0 <= order <= self.order."""
+        if type(order) is not int:
+            require_ints("TruncatedSeries.truncate", order=order)
+        if not 0 <= order <= self.order:
+            raise DomainError(f"truncation order {order} outside 0..{self.order}")
+        return _series(order, self.nums[: order + 1], self.den)
 
     def _check_order(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
             raise OrderMismatch(f"orders differ: {self.order} vs {other.order}")
 
+    def _plus(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
+        """self + sign * other over the lcm of the two denominators."""
+        self._check_order(other)
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, sign * (den // other.den)
+        return _series(self.order, [x * sa + y * sb for x, y in zip(self.nums, other.nums)], den)
+
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         _require_operand("TruncatedSeries.__add__", other, TruncatedSeries)
-        self._check_order(other)
-        return TruncatedSeries(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self._plus(other, 1)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         _require_operand("TruncatedSeries.__sub__", other, TruncatedSeries)
-        self._check_order(other)
-        return TruncatedSeries(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self._plus(other, -1)
 
     def __radd__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         _require_operand("TruncatedSeries.__radd__", other, TruncatedSeries)
@@ -156,41 +203,41 @@ class TruncatedSeries:
 
     def scale(self, c: Scalar) -> "TruncatedSeries":
         c = _rational("TruncatedSeries.scale", "c", c)
-        return TruncatedSeries(self.order, tuple(c * a for a in self.coeffs))
+        p = c.numerator
+        return _series(self.order, [p * x for x in self.nums], self.den * c.denominator)
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at the common order.
 
-    With sa and sb the lcms of the coefficient denominators of a and b,
-    sa * a and sb * b have int coefficients; their int convolution over
-    sa * sb is the product, one Fraction per coefficient.
+    The int convolution of a.nums and b.nums over a.den * b.den is the
+    product; one gcd brings it to lowest terms and no Fraction is built.
     """
     _require_operand("series_mul", a, TruncatedSeries)
     _require_operand("series_mul", b, TruncatedSeries)
     if a.order != b.order:
         raise OrderMismatch(f"orders differ: {a.order} vs {b.order}")
-    n = a.order
-    sa = math.lcm(*[c.denominator for c in a.coeffs])
-    sb = math.lcm(*[c.denominator for c in b.coeffs])
-    ai = [c.numerator * (sa // c.denominator) for c in a.coeffs]
-    bi = [c.numerator * (sb // c.denominator) for c in b.coeffs]
-    out = [0] * (n + 1)
-    for i, x in enumerate(ai):
+    bi = b.nums
+    out = [0] * (a.order + 1)
+    for i, x in enumerate(a.nums):
         if x:
-            for j in range(n + 1 - i):
-                out[i + j] += x * bi[j]
-    den = sa * sb
-    return TruncatedSeries(n, tuple([Fraction(c, den) for c in out]))
+            out[i:] = [o + x * y for o, y in zip(out[i:], bi)]
+    return _series(a.order, out, a.den * b.den)
 
 
 def geometric(c: Scalar, order: int) -> TruncatedSeries:
-    """Truncation of 1/(1 - cT): coefficient of T^k is c^k."""
+    """Truncation of 1/(1 - cT): coefficient of T^k is c^k.
+
+    For c = p/q in lowest terms it is stored as p^k q^(M-k) over q^M, M
+    the order: int powers, no Fraction per coefficient.
+    """
     if type(order) is not int:
         require_ints("geometric", order=order)
     c = _rational("geometric", "c", c)
+    if order < 0:
+        raise DomainError(f"series order must be >= 0, got {order}")
     p, q = c.numerator, c.denominator
-    return TruncatedSeries(order, tuple([Fraction(p**k, q**k) for k in range(order + 1)]))
+    return _series(order, [p**k * q ** (order - k) for k in range(order + 1)], q**order)
 
 
 class Polynomial:

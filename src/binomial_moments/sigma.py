@@ -38,7 +38,7 @@ from itertools import combinations_with_replacement
 
 from .errors import DenominatorPole, DomainError, require_ints, require_rationals
 from .exact import Scalar
-from .series import Polynomial, TruncatedSeries, geometric, poly_interpolate, series_mul
+from .series import Polynomial, geometric, poly_interpolate, series_mul
 
 
 def _check_args(m: int, ell: int, y: Scalar = 0) -> None:
@@ -101,15 +101,14 @@ def sigma_series(m: int, ell: int, y: Scalar) -> Fraction:
 
 @lru_cache(maxsize=4096)
 def _sigma_series(m: int, y: Scalar) -> tuple[Fraction, ...]:
-    # One running product P_l = P_{l-1} * geometric((y-l)^2), cut to order
-    # m - l at each step because entry l only reads its T^(m-l) coefficient.
+    # One running product P_l = P_{l-1} * geometric((y-l)^2), truncated to
+    # order m - l at each step because entry l only reads its T^(m-l)
+    # coefficient.
     y = Fraction(y)
     prod = geometric(y**2, m)
     row = [prod.coefficient(m)]
     for j in range(1, m + 1):
-        prod = series_mul(
-            TruncatedSeries.from_coeffs(prod.coeffs, m - j), geometric((y - j) ** 2, m - j)
-        )
+        prod = series_mul(prod.truncate(m - j), geometric((y - j) ** 2, m - j))
         row.append(prod.coefficient(m - j))
     return tuple(row)
 

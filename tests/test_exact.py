@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,25 @@ class TestBracket:
         # covers the comb form (0 <= l <= u) and the factorial forms of
         # (1/2)_j for both signs of j
         assert bracket(u, ell) == rising(HALF, u) / (rising(HALF, ell) * rising(HALF, u - ell))
+
+    def test_product_form_matches_pochhammer_quotient(self):
+        # [u, -k] and [u, u+k] for u >= 0 are products of k small factors;
+        # the reference is the defining quotient of rising(1/2, .) values.
+        half = {j: rising(HALF, j) for j in range(-60, 461)}
+        for u in range(0, 401):
+            for k in range(1, 61):
+                ref = half[u] / (half[-k] * half[u + k])
+                assert bracket(u, -k) == ref, (u, -k)
+                assert bracket(u, u + k) == ref, (u, u + k)
+
+    def test_inverse_identity_at_large_n(self):
+        # odd C's brackets [2n-2l, -l] at n = 16000; the Pochhammer quotient
+        # of the full indices took seconds per bracket here.
+        n = 16000
+        start = time.perf_counter()
+        for ell in range(0, 6):
+            assert bracket(2 * n - 2 * ell, -ell) * bracket(2 * n - ell, ell) == (-1) ** ell
+        assert time.perf_counter() - start < 1.0
 
     @given(j=st.integers(-80, 160))
     @settings(max_examples=200, deadline=None)

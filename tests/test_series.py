@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,127 @@ class TestSeriesArithmetic:
     def test_geometric_inverts_linear_factor(self, c, order):
         linear = TruncatedSeries.from_coeffs([F(1), -F(c)], order)
         assert geometric(c, order) * linear == TruncatedSeries.constant(1, order)
+
+
+# A Fraction-tuple reference for the int storage: each operation on plain
+# coefficient tuples, as the series layer computed them before it stored
+# int numerators over one denominator.
+def ref_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def ref_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def ref_scale(c, a):
+    return tuple(c * x for x in a)
+
+
+def ref_mul(a, b):
+    return tuple(sum((a[i] * b[k - i] for i in range(k + 1)), F(0)) for k in range(len(a)))
+
+
+def ref_geometric(c, order):
+    return tuple(F(c) ** k for k in range(order + 1))
+
+
+def assert_stored(got, ref):
+    """got holds the coefficients ref, in the canonical stored form."""
+    assert got.coeffs == ref
+    assert all(type(c) is F for c in got.coeffs)
+    assert got.den > 0
+    assert math.gcd(got.den, *got.nums) == 1
+    same = TruncatedSeries(len(ref) - 1, ref)
+    assert got == same
+    assert hash(got) == hash(same)
+
+
+wide_scalar = st.one_of(
+    st.just(F(0)),
+    st.integers(-(10**6), 10**6),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4),
+)
+
+
+def coeff_pair(order):
+    """Two coefficient tuples of one order, sometimes all zero."""
+    coeffs = st.one_of(st.just([F(0)] * (order + 1)), mixed_coeffs(order)).map(tuple)
+    return st.tuples(coeffs, coeffs)
+
+
+class TestStoredForm:
+    @given(cc=st.integers(0, 10).flatmap(coeff_pair), c=wide_scalar)
+    @settings(max_examples=150, deadline=None)
+    def test_arithmetic_matches_fraction_reference(self, cc, c):
+        a, b = (tuple(F(x) for x in cs) for cs in cc)
+        sa, sb = TruncatedSeries(len(a) - 1, a), TruncatedSeries(len(b) - 1, b)
+        assert_stored(sa, a)
+        assert_stored(sa + sb, ref_add(a, b))
+        assert_stored(sa - sb, ref_sub(a, b))
+        assert_stored(sa - sa, ref_sub(a, a))
+        assert_stored(sa.scale(c), ref_scale(F(c), a))
+        assert_stored(c * sa, ref_scale(F(c), a))
+        assert_stored(sa * sb, ref_mul(a, b))
+
+    @given(c=wide_scalar, order=st.integers(0, 10))
+    @settings(max_examples=100, deadline=None)
+    def test_geometric_matches_fraction_reference(self, c, order):
+        assert_stored(geometric(c, order), ref_geometric(c, order))
+
+    @given(
+        cc=st.integers(0, 10).flatmap(coeff_pair),
+        cut=st.integers(0, 10),
+        c=wide_scalar,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_truncate_matches_fraction_reference(self, cc, cut, c):
+        a, b = (tuple(F(x) for x in cs) for cs in cc)
+        order = len(a) - 1
+        cut = min(cut, order)
+        prod = TruncatedSeries(order, a) * geometric(c, order)
+        assert_stored(prod.truncate(cut), ref_mul(a, ref_geometric(c, order))[: cut + 1])
+        assert_stored(TruncatedSeries(order, b).truncate(cut), b[: cut + 1])
+
+    def test_equal_series_from_different_routes(self):
+        half, third = F(1, 2), F(1, 3)
+        routes = [
+            S([half, third]),
+            S([half, 0]) + S([0, third]),
+            S([1, third]) - S([half, 0]),
+            S([3, 2]).scale(F(1, 6)),
+            S([-3, -2]).scale(F(-1, 6)),
+            (S([half, third, 5]) * TruncatedSeries.constant(1, 2)).truncate(1),
+            TruncatedSeries(1, (half, third)),
+            TruncatedSeries.from_coeffs([half, third, 7], 1),
+        ]
+        for s in routes:
+            assert s == routes[0] and hash(s) == hash(routes[0])
+            assert (s.nums, s.den) == ((3, 2), 6)
+        zeros = [S([0, 0]), S([half, third]) - S([half, third]), S([half, third]).scale(0)]
+        for s in zeros:
+            assert (s.nums, s.den) == ((0, 0), 1)
+            assert s == zeros[0] and hash(s) == hash(zeros[0])
+        assert geometric(F(-2, 3), 2) == S([1, F(-2, 3), F(4, 9)])
+        assert (geometric(F(-2, 3), 2).nums, geometric(F(-2, 3), 2).den) == ((9, -6, 4), 9)
+
+    @pytest.mark.parametrize("attr", ["order", "nums", "den", "coeffs", "extra"])
+    def test_assigning_an_attribute_raises(self, attr):
+        s = S([F(1, 2), 3])
+        with pytest.raises(AttributeError):
+            setattr(s, attr, 1)
+        assert s == S([F(1, 2), 3])
+
+    @pytest.mark.parametrize("order", [1.0, True, F(1), "1", None, -1, 3, 10])
+    def test_truncate_refuses_bad_orders(self, order):
+        with pytest.raises(DomainError):
+            S([1, 2, 3]).truncate(order)
+
+    def test_truncate_keeps_order_and_reads(self):
+        s = S([F(1, 2), F(1, 3), F(1, 4)])
+        assert s.truncate(2) == s
+        assert s.truncate(0) == TruncatedSeries.constant(F(1, 2), 0)
+        assert s.truncate(1).coeffs == (F(1, 2), F(1, 3))
 
 
 class TestPolynomial:
