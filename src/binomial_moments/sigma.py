@@ -18,6 +18,10 @@ independently; their agreement with each other is enforced by tests and
 by the verify command, and with ``sigma_row`` by the tests.
 ``sigma_series`` also builds a whole row per (m, y), from one running
 product of geometric series, because its callers read every l at one y.
+Before the factor for j = l is multiplied in, the running product is
+truncated to order m - l (``TruncatedSeries.truncate``), since entry l
+reads only its T^(m-l) coefficient; the series stay int numerators over
+one denominator throughout, and one Fraction is built per entry.
 
 ``sigma_monomial`` and ``sigma_explicit`` sum in int over a common
 denominator and build one Fraction at the end, not one per product.

@@ -167,8 +167,8 @@ class TestBracket:
                 assert bracket(u, u + k) == ref, (u, u + k)
 
     def test_inverse_identity_at_large_n(self):
-        # odd C's brackets [2n-2l, -l] at n = 16000; the Pochhammer quotient
-        # of the full indices took seconds per bracket here.
+        # odd C's brackets [2n-2l, -l] at n = 16000; the time bound guards
+        # against building them from (1/2)_j at j near 2n, seconds apiece.
         n = 16000
         start = time.perf_counter()
         for ell in range(0, 6):

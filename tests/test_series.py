@@ -189,7 +189,7 @@ class TestStoredForm:
     @given(cc=st.integers(0, 10).flatmap(coeff_pair), c=wide_scalar)
     @settings(max_examples=150, deadline=None)
     def test_arithmetic_matches_fraction_reference(self, cc, c):
-        a, b = (tuple(F(x) for x in cs) for cs in cc)
+        a, b = cc
         sa, sb = TruncatedSeries(len(a) - 1, a), TruncatedSeries(len(b) - 1, b)
         assert_stored(sa, a)
         assert_stored(sa + sb, ref_add(a, b))
@@ -211,7 +211,7 @@ class TestStoredForm:
     )
     @settings(max_examples=100, deadline=None)
     def test_truncate_matches_fraction_reference(self, cc, cut, c):
-        a, b = (tuple(F(x) for x in cs) for cs in cc)
+        a, b = cc
         order = len(a) - 1
         cut = min(cut, order)
         prod = TruncatedSeries(order, a) * geometric(c, order)
