@@ -357,6 +357,17 @@ def closed_form(q: MomentQuery) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
+def _over(v: Fraction, den: int) -> tuple[int, int]:
+    """(k, e) with v = k / (den * e).  e = 1 when v's denominator divides
+    den, as every sigma entry the residual checks read does; any other v
+    keeps its own denominator in e, so a residual is exact whatever its
+    sigma route returns."""
+    k, r = divmod(den, v.denominator)
+    if r:
+        return v.numerator * den, v.denominator
+    return v.numerator * k, 1
+
+
 def lambda_check(m: int, n: int) -> Fraction:
     """Residual of the vanishing identity
 
@@ -365,23 +376,29 @@ def lambda_check(m: int, n: int) -> Fraction:
     The right side is the constant bracket [2n, n] seen as a power series,
     so its T^m coefficient is [2n, n] for m = 0 and 0 for m >= 1.  The
     returned residual (left minus right) is 0 for every m >= 0, n >= 1.
+
+    falling(2n-1/2, 2l) = F_l / 4^l with F_l = prod_{i<2l} (4n-1-2i), and
+    sigma_{m,l}(n-1/2) (from ``sigma_series``) is an int over 4^(m-l), so
+    term l is an int over 4^m times the bracket's denominator (the bracket
+    from ``exact.bracket``).  The terms are summed as int pairs over 4^m
+    and one Fraction is built.
     """
     require_ints("lambda_check", m=m, n=n)
     if m < 0 or n < 1:
         raise DomainError(f"lambda_check requires m >= 0 and n >= 1, got m={m}, n={n}")
     y = Fraction(2 * n - 1, 2)
-    half_arg = Fraction(4 * n - 1, 2)
-    total = Fraction(0)
+    terms = []
+    g = 1  # F_l
     for ell in range(m + 1):
-        total += (
-            (-1) ** ell
-            * falling(half_arg, 2 * ell)
-            * bracket(2 * n - 2 * ell, n - ell)
-            * sigma_series(m, ell, y)
-        )
+        k, e = _over(sigma_series(m, ell, y), 4 ** (m - ell))
+        b = bracket(2 * n - 2 * ell, n - ell)
+        t = g * k * b.numerator
+        terms.append((-t if ell % 2 else t, e * b.denominator))
+        g *= (4 * n - 1 - 4 * ell) * (4 * n - 3 - 4 * ell)
     if m == 0:
-        total -= bracket(2 * n, n)
-    return total
+        b = bracket(2 * n, n)
+        terms.append((-b.numerator, b.denominator))
+    return _sum_over(terms, 4**m)
 
 
 def lemma1_residual(m: int, x: Scalar, y: Scalar) -> Fraction:
@@ -390,22 +407,31 @@ def lemma1_residual(m: int, x: Scalar, y: Scalar) -> Fraction:
         x^(2m) - sum_{l=0}^m (-1)^l falling(y+x, l) falling(y-x, l) sigma_{m,l}(y)
 
     Identically 0 for every m >= 0 and all rational x, y.
+
+    For x = a/b and y = c/d in lowest terms write y +- x = u+- / w with
+    w = bd, so falling(y+-x, l) = prod_{j<l} (u+- - jw) / w^l, and
+    sigma_{m,l}(y) (from ``sigma_series``) is an int over d^(2(m-l)).
+    Every term, x^(2m) included, is then an int over w^(2m) d^(2m); they
+    are summed in int and one Fraction is built.
     """
     require_ints("lemma1_residual", m=m)
     require_rationals("lemma1_residual", x=x, y=y)
     if m < 0:
         raise DomainError(f"lemma1_residual requires m >= 0, got {m}")
-    x = Fraction(x)
-    y = Fraction(y)
-    total = Fraction(0)
+    a, b = x.numerator, x.denominator
+    c, d = y.numerator, y.denominator
+    w = b * d
+    up, um = c * b + a * d, c * b - a * d
+    w2, d2m = w * w, d ** (2 * m)
+    # x^(2m) = a^(2m) / b^(2m) = a^(2m) d^(4m) / (w^(2m) d^(2m))
+    terms = [(a ** (2 * m) * d2m * d2m, 1)]
+    f = 1  # prod_{j<l} (u+ - jw)(u- - jw)
     for ell in range(m + 1):
-        total += (
-            (-1) ** ell
-            * falling(y + x, ell)
-            * falling(y - x, ell)
-            * sigma_series(m, ell, y)
-        )
-    return x ** (2 * m) - total
+        k, e = _over(sigma_series(m, ell, y), d2m)
+        t = f * k * w2 ** (m - ell)
+        terms.append((t if ell % 2 else -t, e))
+        f *= (up - ell * w) * (um - ell * w)
+    return _sum_over(terms, w2**m * d2m)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,9 @@ denominators, ``scale`` multiplies in the scalar's numerator and
 denominator, ``series_mul`` convolves the numerators over the product of
 the denominators, ``geometric`` stores int powers and ``truncate``
 slices.  A Fraction is built only when a coefficient is read.
+``geometric`` checks its arguments and then calls ``_geometric``, the
+one geometric kernel, on the ratio's int numerator and denominator;
+``sigma`` calls that kernel directly with int ratios it has built.
 """
 
 from __future__ import annotations
@@ -236,7 +239,12 @@ def geometric(c: Scalar, order: int) -> TruncatedSeries:
     c = _rational("geometric", "c", c)
     if order < 0:
         raise DomainError(f"series order must be >= 0, got {order}")
-    p, q = c.numerator, c.denominator
+    return _geometric(c.numerator, c.denominator, order)
+
+
+def _geometric(p: int, q: int, order: int) -> TruncatedSeries:
+    """``geometric(p/q, order)`` without the argument checks: p/q in lowest
+    terms, q > 0 and order >= 0 are the caller's to guarantee."""
     return _series(order, [p**k * q ** (order - k) for k in range(order + 1)], q**order)
 
 

@@ -21,7 +21,11 @@ product of geometric series, because its callers read every l at one y.
 Before the factor for j = l is multiplied in, the running product is
 truncated to order m - l (``TruncatedSeries.truncate``), since entry l
 reads only its T^(m-l) coefficient; the series stay int numerators over
-one denominator throughout, and one Fraction is built per entry.
+one denominator throughout, and one Fraction is built per entry.  For
+y = p/q in lowest terms factor j has the ratio (y-j)^2 = (p - jq)^2 /
+q^2, already in lowest terms because gcd(p - jq, q) = gcd(p, q) = 1, so
+the int pair goes straight to the series layer's unchecked geometric
+kernel ``_geometric`` and no Fraction is built for a factor.
 
 ``sigma_monomial`` and ``sigma_explicit`` sum in int over a common
 denominator and build one Fraction at the end, not one per product.
@@ -42,7 +46,7 @@ from itertools import combinations_with_replacement
 
 from .errors import DenominatorPole, DomainError, require_ints, require_rationals
 from .exact import Scalar
-from .series import Polynomial, geometric, poly_interpolate, series_mul
+from .series import Polynomial, _geometric, poly_interpolate, series_mul
 
 
 def _check_args(m: int, ell: int, y: Scalar = 0) -> None:
@@ -107,12 +111,14 @@ def sigma_series(m: int, ell: int, y: Scalar) -> Fraction:
 def _sigma_series(m: int, y: Scalar) -> tuple[Fraction, ...]:
     # One running product P_l = P_{l-1} * geometric((y-l)^2), truncated to
     # order m - l at each step because entry l only reads its T^(m-l)
-    # coefficient.
-    y = Fraction(y)
-    prod = geometric(y**2, m)
+    # coefficient.  For y = p/q the ratio (y-j)^2 is the int pair
+    # ((p - jq)^2, q^2), already in lowest terms.
+    p, q = y.numerator, y.denominator
+    q2 = q * q
+    prod = _geometric(p * p, q2, m)
     row = [prod.coefficient(m)]
     for j in range(1, m + 1):
-        prod = series_mul(prod.truncate(m - j), geometric((y - j) ** 2, m - j))
+        prod = series_mul(prod.truncate(m - j), _geometric((p - j * q) ** 2, q2, m - j))
         row.append(prod.coefficient(m - j))
     return tuple(row)
 
@@ -128,9 +134,7 @@ def sigma_monomial(m: int, ell: int, y: Scalar) -> Fraction:
     _check_args(m, ell, y=y)
     p, q = y.numerator, y.denominator
     shifts = [(p - k * q) ** 2 for k in range(ell + 1)]
-    total = 0
-    for tup in combinations_with_replacement(range(ell + 1), m - ell):
-        total += math.prod(shifts[k] for k in tup)
+    total = sum(map(math.prod, combinations_with_replacement(shifts, m - ell)))
     return Fraction(total, q ** (2 * (m - ell)))
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binomial_moments import moments
 from binomial_moments.conjecture import ClosedFormCandidate
 from binomial_moments.errors import (
     DomainError,
@@ -39,6 +40,7 @@ from binomial_moments.moments import (
     oracle,
 )
 from binomial_moments.sigma import sigma_series
+from binomial_moments.verify import VerifyConfig, check_lambda_identity, check_lemma_residuals
 
 F = Fraction
 
@@ -543,6 +545,125 @@ class TestIdentities:
     @settings(max_examples=150, deadline=None)
     def test_lemma_residual_random(self, m, x, y):
         assert lemma1_residual(m, x, y) == 0
+
+
+def lambda_reference(m, n):
+    """Reference for ``lambda_check``: the same sum with one Fraction per
+    product, reading sigma through ``moments.sigma_series`` as the check does."""
+    y = Fraction(2 * n - 1, 2)
+    half_arg = Fraction(4 * n - 1, 2)
+    total = Fraction(0)
+    for ell in range(m + 1):
+        total += (
+            (-1) ** ell
+            * falling(half_arg, 2 * ell)
+            * bracket(2 * n - 2 * ell, n - ell)
+            * moments.sigma_series(m, ell, y)
+        )
+    if m == 0:
+        total -= bracket(2 * n, n)
+    return total
+
+
+def lemma_reference(m, x, y):
+    """Reference for ``lemma1_residual``: the same sum with one Fraction per
+    product, reading sigma through ``moments.sigma_series`` as the check does."""
+    x = Fraction(x)
+    y = Fraction(y)
+    total = Fraction(0)
+    for ell in range(m + 1):
+        total += (
+            (-1) ** ell
+            * falling(y + x, ell)
+            * falling(y - x, ell)
+            * moments.sigma_series(m, ell, y)
+        )
+    return x ** (2 * m) - total
+
+
+# Numerators and denominators up to 10^3, negative values, and ints.
+wide_rational = st.one_of(
+    st.builds(Fraction, st.integers(-(10**3), 10**3), st.integers(1, 10**3)),
+    st.integers(-50, 50),
+)
+
+
+@st.composite
+def lemma_points(draw):
+    """(x, y) free, or on an edge: y = 0, x = y or x = -y."""
+    x, y = draw(wide_rational), draw(wide_rational)
+    edge = draw(st.sampled_from(["free", "y = 0", "x = y", "x = -y"]))
+    if edge == "y = 0":
+        y = 0
+    elif edge == "x = y":
+        x = y
+    elif edge == "x = -y":
+        x = -y
+    return x, y
+
+
+def corrupt_sigma(bad):
+    """``moments.sigma_series`` with 1/7 added to every entry at l = bad."""
+
+    def wrong(m, ell, y):
+        v = sigma_series(m, ell, y)
+        return v + Fraction(1, 7) if ell == bad else v
+
+    return wrong
+
+
+class TestIdentitiesMatchFractionReferences:
+    @given(m=st.integers(0, 8), xy=lemma_points())
+    @settings(max_examples=300, deadline=None)
+    def test_lemma_residual(self, m, xy):
+        got = lemma1_residual(m, *xy)
+        assert got == lemma_reference(m, *xy) == 0 and type(got) is Fraction
+
+    @given(m=st.integers(0, 8), n=st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_lambda_check(self, m, n):
+        got = lambda_check(m, n)
+        assert got == lambda_reference(m, n) == 0 and type(got) is Fraction
+
+    @given(m=st.integers(0, 8), xy=lemma_points(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_lemma_residual_of_a_wrong_sigma(self, m, xy, data):
+        bad = data.draw(st.integers(0, m))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(moments, "sigma_series", corrupt_sigma(bad))
+            got = lemma1_residual(m, *xy)
+            assert got == lemma_reference(m, *xy) and type(got) is Fraction
+
+    @given(m=st.integers(0, 8), n=st.integers(1, 40), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_lambda_check_of_a_wrong_sigma(self, m, n, data):
+        bad = data.draw(st.integers(0, m))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(moments, "sigma_series", corrupt_sigma(bad))
+            got = lambda_check(m, n)
+            assert got == lambda_reference(m, n) != 0 and type(got) is Fraction
+
+    def test_wrong_sigma_residuals_are_pinned(self, monkeypatch):
+        monkeypatch.setattr(moments, "sigma_series", corrupt_sigma(1))
+        assert lemma1_residual(2, F(1, 3), F(-5, 2)) == F(221, 252)
+        assert lambda_check(1, 2) == F(-15, 4)
+        assert lambda_check(2, 3) == F(-165, 4)
+
+    def test_failing_reports_keep_their_witnesses(self, monkeypatch):
+        monkeypatch.setattr(moments, "sigma_series", corrupt_sigma(2))
+        config = VerifyConfig(m_max=3, n_max=5, seed=7)
+        got = (check_lemma_residuals(config), check_lambda_identity(config))
+        assert got[0][1] is not None and got[1][1] is not None
+        monkeypatch.setattr("binomial_moments.verify.lemma1_residual", lemma_reference)
+        monkeypatch.setattr("binomial_moments.verify.lambda_check", lambda_reference)
+        assert got == (check_lemma_residuals(config), check_lambda_identity(config))
+
+    def test_lambda_check_reads_brackets_from_exact(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("lambda_check read the theorem route's brackets")
+
+        monkeypatch.setattr(moments, "_bracket_ints", refuse)
+        assert lambda_check(4, 9) == 0
 
 
 class TestEvaluate:

@@ -1,10 +1,12 @@
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binomial_moments import series
 from binomial_moments.errors import (
     ConsistencyError,
     DomainError,
@@ -324,6 +326,8 @@ INEXACT_CALLS = {
     "geometric bool c": lambda: geometric(True, 2),
     "geometric float order": lambda: geometric(1, 2.5),
     "geometric float-valued order": lambda: geometric(1, 2.0),
+    "geometric bool order": lambda: geometric(1, True),
+    "geometric str order": lambda: geometric(1, "2"),
     "from_coeffs float coefficients": lambda: TruncatedSeries.from_coeffs([0.5, 2.5], 2),
     "from_coeffs str coefficient": lambda: TruncatedSeries.from_coeffs(["1/2"], 2),
     "from_coeffs float order": lambda: TruncatedSeries.from_coeffs([1], 2.0),
@@ -351,6 +355,20 @@ INEXACT_CALLS = {
 def test_entries_reject_inexact_arguments(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("c, order", [(F(1, 2), -1), (2, -3), (0, -1)])
+def test_geometric_refuses_negative_orders(c, order):
+    # geometric checks every argument before its unchecked int kernel
+    # _geometric runs; INEXACT_CALLS holds the inexact ratios and orders
+    with pytest.raises(DomainError):
+        geometric(c, order)
+
+
+def test_int_geometric_entry_is_read_only_by_sigma():
+    package = pathlib.Path(series.__file__).parent
+    readers = [p.stem for p in sorted(package.glob("*.py")) if "_geometric" in p.read_text()]
+    assert readers == ["series", "sigma"]
 
 
 POLY = Polynomial([1, 2])

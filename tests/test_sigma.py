@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomial_moments import sigma
+from binomial_moments import moments, sigma
 from binomial_moments.errors import DenominatorPole, DomainError
 from binomial_moments.exact import binomial, falling
-from binomial_moments.series import Polynomial
+from binomial_moments.series import Polynomial, geometric, series_mul
 from binomial_moments.sigma import (
     sigma_explicit,
     sigma_monomial,
@@ -18,7 +18,13 @@ from binomial_moments.sigma import (
     sigma_row_ints,
     sigma_series,
 )
-from binomial_moments.verify import VerifyConfig, check_sigma_three_way
+from binomial_moments.moments import lambda_check, lemma1_residual
+from binomial_moments.verify import (
+    VerifyConfig,
+    check_lambda_identity,
+    check_lemma_residuals,
+    check_sigma_three_way,
+)
 
 F = Fraction
 
@@ -149,11 +155,31 @@ def test_cross_check_routes_do_not_read_sigma_row(monkeypatch):
     monkeypatch.setattr(sigma, "_sigma_row", refuse)
     monkeypatch.setattr(sigma, "sigma_row", refuse)
     monkeypatch.setattr(sigma, "sigma_row_ints", refuse)
+    # the residual checks live in moments, which imports the production row
+    monkeypatch.setattr(moments, "sigma_row", refuse)
+    monkeypatch.setattr(moments, "sigma_row_ints", refuse)
     sigma._sigma_series.cache_clear()
     assert sigma_series(3, 1, F(5)) == 1281
     assert sigma_monomial(3, 1, F(5)) == 1281
     assert sigma_explicit(3, 1, F(5)) == 1281
     assert check_sigma_three_way(VerifyConfig(m_max=3, n_max=1)) == (850, None)
+    assert lemma1_residual(3, F(7, 2), F(-2, 3)) == 0
+    assert lambda_check(3, 4) == 0
+    assert check_lemma_residuals(VerifyConfig(m_max=3, n_max=1)) == (200, None)
+    assert check_lambda_identity(VerifyConfig(m_max=3, n_max=2)) == (8, None)
+
+
+def series_reference(m, y):
+    """Reference for ``sigma._sigma_series``: the same truncated running
+    product, with each factor's ratio (y - j)^2 built as a Fraction and
+    passed to the checked ``geometric``."""
+    y = Fraction(y)
+    prod = geometric(y**2, m)
+    row = [prod.coefficient(m)]
+    for j in range(1, m + 1):
+        prod = series_mul(prod.truncate(m - j), geometric((y - j) ** 2, m - j))
+        row.append(prod.coefficient(m - j))
+    return tuple(row)
 
 
 def monomial_reference(m, ell, y):
@@ -206,6 +232,14 @@ def test_int_routes_match_fraction_references(m, data):
     y = data.draw(wide_y)
     assert outcome(sigma_monomial, m, ell, y) == outcome(monomial_reference, m, ell, y)
     assert outcome(sigma_explicit, m, ell, y) == outcome(explicit_reference, m, ell, y)
+
+
+@given(m=st.integers(0, 10), y=wide_y)
+@settings(max_examples=200, deadline=None)
+def test_series_row_matches_fraction_reference(m, y):
+    sigma._sigma_series.cache_clear()
+    got = tuple(sigma_series(m, ell, y) for ell in range(m + 1))
+    assert got == series_reference(m, y) and all(type(v) is Fraction for v in got)
 
 
 def test_int_routes_match_references_at_every_pole():
