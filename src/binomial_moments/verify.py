@@ -9,23 +9,29 @@ closed-form variants.  The report is deterministic for a fixed config
 (including the seed of the random rational panels), so two runs are
 byte-identical.
 
-Each ``check_*`` function walks its grid and returns what it found:
-``(cases, witness)``, where ``witness`` is None on a pass and describes
-the first counterexample otherwise; the three variant-evidence checks
-return ``(cases, witness, details)``.  A check does not know its own
-name.  The table in ``run_verification`` names every check and states
-its family gate, and ``_run_check`` turns a check's return, or the
-exception it raised, into a ``CheckResult``.
+Each grid check is written as a generator that walks its grid and yields
+one verdict per case: None when the case holds, a witness dict
+describing it when it fails.  The decorator ``_first_witness`` is the
+one place that counts the cases and stops at the first witness; the
+failing case is counted, so a decorated ``check_*`` returns ``(cases,
+witness)`` with ``witness`` None on a pass.  A call of a decorated check
+does the whole check's work, so timing that call from outside times the
+check.  The three variant-evidence checks weigh a fixed list of
+witnesses at once and return ``(cases, witness, details)``.  A check does
+not know its own name.  The table in ``run_verification`` names every
+check and states its family gate, and ``_run_check`` turns a check's
+return, or the exception it raised, into a ``CheckResult``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from . import moments
 from .errors import DomainError, require_ints
@@ -71,6 +77,8 @@ class VerifyConfig:
 # the variant-evidence checks add the evidence itself as details.
 Found = tuple[int, Optional[dict]]
 Evidence = tuple[int, Optional[dict], dict]
+# What a grid check yields: one verdict per case, None when it holds.
+Verdicts = Iterator[Optional[dict]]
 
 
 @dataclass
@@ -114,6 +122,23 @@ def _rand_fraction(rng: random.Random) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _first_witness(check: Callable[..., Verdicts]) -> Callable[..., Found]:
+    """Make a generator of verdicts a check: count the cases up to and
+    including the first witness, and stop there.  The generator is not
+    resumed after a witness, so it computes nothing past the failing case."""
+
+    @functools.wraps(check)
+    def run(*args) -> Found:
+        cases = 0
+        for witness in check(*args):
+            cases += 1
+            if witness is not None:
+                return cases, witness
+        return cases, None
+
+    return run
+
+
 def _theorem_domain(family: str, m: int, n_max: int) -> range:
     """n values on which the family's closed form is guarded valid."""
     if m % 2 == 0:
@@ -126,72 +151,61 @@ def _theorem_domain(family: str, m: int, n_max: int) -> range:
     return range(1, n_max + 1)
 
 
-def check_oracle_vs_theorem(config: VerifyConfig) -> Found:
-    cases = 0
+@_first_witness
+def check_oracle_vs_theorem(config: VerifyConfig) -> Verdicts:
     for family in config.families:
         for m in range(0, config.m_max + 1):
             for n in _theorem_domain(family, m, config.n_max):
                 q = MomentQuery(family, m, n)
                 lhs = moments.closed_form(q).value
                 rhs = oracle(q)
-                cases += 1
-                if lhs != rhs:
-                    witness = {"family": family, "m": m, "n": n, "lhs": str(lhs), "rhs": str(rhs)}
-                    return cases, witness
-    return cases, None
+                yield None if lhs == rhs else {
+                    "family": family, "m": m, "n": n, "lhs": str(lhs), "rhs": str(rhs)
+                }
 
 
-def check_oracle_vs_corollary(config: VerifyConfig) -> Found:
-    cases = 0
+@_first_witness
+def check_oracle_vs_corollary(config: VerifyConfig) -> Verdicts:
     for (family, m), entry in sorted(COROLLARIES.items()):
         if family not in config.families:
             continue
         for n in range(entry.min_n, config.n_max + 1):
             lhs = entry.value(n)
             rhs = oracle(MomentQuery(family, m, n))
-            cases += 1
-            if lhs != rhs:
-                return cases, {"family": family, "m": m, "n": n, "lhs": str(lhs), "rhs": str(rhs)}
-    return cases, None
+            yield None if lhs == rhs else {
+                "family": family, "m": m, "n": n, "lhs": str(lhs), "rhs": str(rhs)
+            }
 
 
-def check_bracket_form_agreement(config: VerifyConfig) -> Found:
+@_first_witness
+def check_bracket_form_agreement(config: VerifyConfig) -> Verdicts:
     """The two printed shapes of the even-C closed form agree term by term."""
-    cases = 0
     for t in range(1, config.m_max // 2 + 1):
         for n in range(1, config.n_max + 1):
             f1 = moments.c_even_first_form(t, n)
             f2 = even_moment_c(t, n)
-            if f1 != f2:
-                error = f"bracket forms disagree at t={t}, n={n}: {f1} vs {f2}"
-                return cases, {"t": t, "n": n, "error": error}
-            cases += 1
-    return cases, None
+            yield None if f1 == f2 else {
+                "t": t, "n": n, "error": f"bracket forms disagree at t={t}, n={n}: {f1} vs {f2}"
+            }
 
 
-def check_lambda_identity(config: VerifyConfig) -> Found:
-    cases = 0
+@_first_witness
+def check_lambda_identity(config: VerifyConfig) -> Verdicts:
     for m in range(0, config.m_max + 1):
         for n in range(1, config.n_max + 1):
-            cases += 1
             v = lambda_check(m, n)
-            if v != 0:
-                return cases, {"m": m, "n": n, "value": str(v)}
-    return cases, None
+            yield None if v == 0 else {"m": m, "n": n, "value": str(v)}
 
 
-def check_lemma_residuals(config: VerifyConfig) -> Found:
+@_first_witness
+def check_lemma_residuals(config: VerifyConfig) -> Verdicts:
     rng = random.Random(config.seed)
-    cases = 0
     for m in range(0, config.m_max + 1):
         for _ in range(50):
             x = _rand_fraction(rng)
             y = _rand_fraction(rng)
-            cases += 1
             r = lemma1_residual(m, x, y)
-            if r != 0:
-                return cases, {"m": m, "x": str(x), "y": str(y), "residual": str(r)}
-    return cases, None
+            yield None if r == 0 else {"m": m, "x": str(x), "y": str(y), "residual": str(r)}
 
 
 # ---------------------------------------------------------------------------
@@ -199,41 +213,36 @@ def check_lemma_residuals(config: VerifyConfig) -> Found:
 # ---------------------------------------------------------------------------
 
 
-def check_bracket_symmetry() -> Found:
-    cases = 0
+@_first_witness
+def check_bracket_symmetry() -> Verdicts:
     for n in range(0, 41):
         for k in range(0, n + 1):
-            cases += 1
-            if bracket(n, k) != bracket(n, n - k):
-                return cases, {"n": n, "k": k}
-    return cases, None
+            yield None if bracket(n, k) == bracket(n, n - k) else {"n": n, "k": k}
 
 
-def check_bracket_recurrence() -> Found:
-    cases = 0
+@_first_witness
+def check_bracket_recurrence() -> Verdicts:
     for n in range(1, 31):
         factor = Fraction(4 * n - 1, 2 * (2 * n - 1))  # (2n - 1/2)/(2n - 1)
         for k in range(-n, n + 1):
-            cases += 1
             lhs = bracket(2 * n, n - k)
             rhs = factor * (bracket(2 * n - 1, n - k) + bracket(2 * n - 1, n - k - 1))
-            if lhs != rhs:
-                return cases, {"n": n, "k": k, "lhs": str(lhs), "rhs": str(rhs)}
-    return cases, None
+            yield None if lhs == rhs else {"n": n, "k": k, "lhs": str(lhs), "rhs": str(rhs)}
 
 
-def check_bracket_inverse() -> Found:
-    cases = 0
+@_first_witness
+def check_bracket_inverse() -> Verdicts:
+    """One case per (n, l) covers both identities; the second is not
+    computed once the first fails."""
     for n in range(2, 21):
         for ell in range(1, n):
-            cases += 1
             a = bracket(2 * n - 2 * ell, -ell)
             if a * bracket(2 * n - ell, ell) != (-1) ** ell:
-                return cases, {"n": n, "l": ell, "id": 1}
-            b = bracket(2 * n - 2 * ell, -ell - 1)
-            if b * bracket(2 * n - ell + 1, ell + 1) != (-1) ** (ell + 1):
-                return cases, {"n": n, "l": ell, "id": 2}
-    return cases, None
+                yield {"n": n, "l": ell, "id": 1}
+            else:
+                b = bracket(2 * n - 2 * ell, -ell - 1)
+                held = b * bracket(2 * n - ell + 1, ell + 1) == (-1) ** (ell + 1)
+                yield None if held else {"n": n, "l": ell, "id": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -248,46 +257,41 @@ def _sigma_panel(rng: random.Random) -> list[Fraction]:
     return panel
 
 
-def check_sigma_three_way(config: VerifyConfig) -> Found:
+@_first_witness
+def check_sigma_three_way(config: VerifyConfig) -> Verdicts:
     rng = random.Random(config.seed + 1)
     panel = _sigma_panel(rng)
     # Whether (l, y) is off the explicit form's pole does not depend on m.
     off_pole = [
         [falling(2 * y, 1 + 2 * ell) != 0 for y in panel] for ell in range(config.m_max + 1)
     ]
-    cases = 0
     for m in range(0, config.m_max + 1):
         for ell in range(0, m + 1):
             for y, explicit_defined in zip(panel, off_pole[ell]):
                 a = sigma_series(m, ell, y)
                 b = sigma_monomial(m, ell, y)
-                cases += 1
-                if a != b:
-                    witness = {"m": m, "l": ell, "y": str(y), "series": str(a), "monomial": str(b)}
-                    return cases, witness
+                yield None if a == b else {
+                    "m": m, "l": ell, "y": str(y), "series": str(a), "monomial": str(b)
+                }
                 if explicit_defined:
                     c = sigma_explicit(m, ell, y)
-                    cases += 1
-                    if a != c:
-                        witness = {"m": m, "l": ell, "y": str(y), "series": str(a), "explicit": str(c)}
-                        return cases, witness
-    return cases, None
+                    yield None if a == c else {
+                        "m": m, "l": ell, "y": str(y), "series": str(a), "explicit": str(c)
+                    }
 
 
-def check_sigma_poly_shape(config: VerifyConfig) -> Found:
-    cases = 0
+@_first_witness
+def check_sigma_poly_shape(config: VerifyConfig) -> Verdicts:
     for m in range(0, config.m_max + 1):
         for ell in range(0, m + 1):
             p = sigma_poly(m, ell)
-            cases += 1
-            if p.degree != 2 * (m - ell) or p.leading != math.comb(m, ell):
-                return cases, {"m": m, "l": ell, "degree": p.degree, "leading": str(p.leading)}
+            shaped = p.degree == 2 * (m - ell) and p.leading == math.comb(m, ell)
+            yield None if shaped else {
+                "m": m, "l": ell, "degree": p.degree, "leading": str(p.leading)
+            }
             for k in range(1, 4):
                 y = Fraction(2 * k - 1, 2)
-                cases += 1
-                if p(y) != sigma_series(m, ell, y):
-                    return cases, {"m": m, "l": ell, "y": str(y)}
-    return cases, None
+                yield None if p(y) == sigma_series(m, ell, y) else {"m": m, "l": ell, "y": str(y)}
 
 
 def _lambda_series(n: int, ell: int, order: int, extra_factor: bool) -> TruncatedSeries:
@@ -301,19 +305,16 @@ def _lambda_series(n: int, ell: int, order: int, extra_factor: bool) -> Truncate
     return s
 
 
-def check_series_telescoping(config: VerifyConfig) -> Found:
+@_first_witness
+def check_series_telescoping(config: VerifyConfig) -> Verdicts:
     """Consecutive terms of the vanishing-identity kernel collapse:
     lambda_l + lambda_{l+1} equals lambda_l with one extra geometric factor."""
     order = max(config.m_max, 1)
-    cases = 0
     for n in range(1, 11):
         for ell in range(0, config.m_max + 1):
             lhs = _lambda_series(n, ell, order, False) + _lambda_series(n, ell + 1, order, False)
             rhs = _lambda_series(n, ell, order, True)
-            cases += 1
-            if lhs != rhs:
-                return cases, {"n": n, "l": ell}
-    return cases, None
+            yield None if lhs == rhs else {"n": n, "l": ell}
 
 
 # ---------------------------------------------------------------------------
@@ -321,34 +322,28 @@ def check_series_telescoping(config: VerifyConfig) -> Found:
 # ---------------------------------------------------------------------------
 
 
-def check_b_even_vanishing(config: VerifyConfig) -> Found:
-    cases = 0
+@_first_witness
+def check_b_even_vanishing(config: VerifyConfig) -> Verdicts:
     for t in range(1, config.m_max + 1):
         for n in range(t + 1, config.n_max + 1):
-            cases += 1
             v = even_moment_b(t, n)
-            if v != 0:
-                return cases, {"t": t, "n": n, "value": str(v)}
-    return cases, None
+            yield None if v == 0 else {"t": t, "n": n, "value": str(v)}
 
 
-def check_c_even_parity_shape(config: VerifyConfig) -> Found:
+@_first_witness
+def check_c_even_parity_shape(config: VerifyConfig) -> Verdicts:
     """(-1)^n C_{2t}(n) / (n(n+1)) is a positive rational once every
     denominator factor of the printed form is positive (n > t)."""
-    cases = 0
     for t in range(1, config.m_max // 2 + 1):
         for n in range(t + 1, config.n_max + 1):
-            cases += 1
             v = oracle(MomentQuery("C", 2 * t, n)) * (-1) ** n / (n * (n + 1))
-            if v <= 0:
-                return cases, {"t": t, "n": n, "value": str(v)}
-    return cases, None
+            yield None if v > 0 else {"t": t, "n": n, "value": str(v)}
 
 
-def check_warmup_forms(config: VerifyConfig) -> Found:
+@_first_witness
+def check_warmup_forms(config: VerifyConfig) -> Verdicts:
     """The hand-telescoped small cases, including the second printed shape
     of the m = 1 alternating binomial sum."""
-    cases = 0
     for n in range(1, config.n_max + 1):
         targets = []
         if "A" in config.families:
@@ -362,12 +357,10 @@ def check_warmup_forms(config: VerifyConfig) -> Found:
                 ("C", 0, bracket(2 * n, n) / 2 + Fraction((-1) ** n, 4 * n - 2))
             )
         for family, m, expected in targets:
-            cases += 1
             got = oracle(MomentQuery(family, m, n))
-            if got != expected:
-                witness = {"family": family, "m": m, "n": n, "lhs": str(expected), "rhs": str(got)}
-                return cases, witness
-    return cases, None
+            yield None if got == expected else {
+                "family": family, "m": m, "n": n, "lhs": str(expected), "rhs": str(got)
+            }
 
 
 # ---------------------------------------------------------------------------

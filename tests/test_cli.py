@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import sys
@@ -179,13 +180,44 @@ class TestVerify:
         report = json.loads(out)
         check = next(c for c in report["checks"] if c["name"] == "c-even-two-bracket-forms")
         f2 = moments.even_moment_c(1, 3)
-        assert check["status"] == "fail" and check["cases"] == 2
+        assert check["status"] == "fail" and check["cases"] == 3
         assert check["witness"] == {
             "t": 1,
             "n": 3,
             "error": f"bracket forms disagree at t=1, n=3: {f2 + 1} vs {f2}",
         }
         assert "c-even-two-bracket-forms" in err
+
+    def test_first_witness_counts_the_failing_case_and_stops(self):
+        @verify._first_witness
+        def toy():
+            yield None
+            yield None
+            yield {"case": 3}
+            raise AssertionError("resumed after the first witness")
+
+        @verify._first_witness
+        def passing():
+            yield from (None, None)
+
+        assert toy() == (3, {"case": 3})
+        assert passing() == (2, None)
+        assert toy.__name__ == "toy" and inspect.isgeneratorfunction(toy.__wrapped__)
+
+    def test_every_grid_check_wraps_a_generator(self):
+        evidence = {
+            "check_c_odd_argument_evidence",
+            "check_c_even_sign_evidence",
+            "check_d_odd_sign_evidence",
+        }
+        checks = {name: obj for name, obj in vars(verify).items() if name.startswith("check_")}
+        assert len(checks) == 17 and evidence <= set(checks)
+        for name, check in checks.items():
+            if name in evidence:
+                assert not hasattr(check, "__wrapped__"), name
+            else:
+                assert inspect.isgeneratorfunction(check.__wrapped__), name
+                assert check.__name__ == name and check.__module__ == verify.__name__
 
     def test_invalid_config(self, capsys):
         assert run(capsys, "verify", "--families", "Q")[0] == 2
