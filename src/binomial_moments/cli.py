@@ -128,7 +128,6 @@ def cmd_discover(args: argparse.Namespace) -> int:
             max_degree=args.max_degree,
             max_roots=args.max_roots,
             holdout=args.holdout,
-            n_start=args.n_start,
         )
         catalogue = search_catalogue(config)
         candidates = explore_D_even(t, config)
@@ -147,7 +146,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
 
     printed = COROLLARIES.get((family, power))
     ansatz = printed.ansatz if printed else family_ansatz(family, parity, t)
-    samples, hold = fitting_nodes(power, ansatz, args.holdout, args.n_start)
+    samples, hold = fitting_nodes(power, ansatz, args.holdout)
     candidate = fit(family, power, ansatz, samples, hold)
     payload = {
         "family": family,
@@ -325,7 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_disc.add_argument("--max-degree", type=int, default=SearchConfig.max_degree)
     p_disc.add_argument("--max-roots", type=int, default=SearchConfig.max_roots)
     p_disc.add_argument("--holdout", type=int, default=SearchConfig.holdout)
-    p_disc.add_argument("--n-start", type=int, default=SearchConfig.n_start)
     p_disc.add_argument("--out", help="write the JSON report to this file")
     p_disc.set_defaults(func=cmd_discover)
 

@@ -290,15 +290,13 @@ class RediscoveryReport:
 HOLDOUT = 10
 
 
-def fitting_nodes(power: int, ansatz: Ansatz, holdout: int, n_start: Optional[int] = None):
+def fitting_nodes(power: int, ansatz: Ansatz, holdout: int):
     """Sample/holdout nodes: consecutive integers from power+2 (clears every
     printed guard and denominator root), holdout directly after the samples."""
     require_ints("fitting_nodes", power=power, holdout=holdout)
-    if n_start is not None:
-        require_ints("fitting_nodes", n_start=n_start)
     if holdout < 0:
         raise DomainError(f"holdout must be >= 0, got {holdout}")
-    n0 = n_start if n_start is not None else power + 2
+    n0 = power + 2
     excluded = ansatz.excluded_ns()
     if excluded:
         n0 = max(n0, max(excluded) + 1)
@@ -335,13 +333,10 @@ class SearchConfig:
     max_degree: int = 4
     max_roots: int = 2
     holdout: int = HOLDOUT
-    n_start: Optional[int] = None
 
     def __post_init__(self) -> None:
         require_ints("SearchConfig", max_degree=self.max_degree, max_roots=self.max_roots)
         require_ints("SearchConfig", holdout=self.holdout)
-        if self.n_start is not None:
-            require_ints("SearchConfig", n_start=self.n_start)
         if self.max_degree < 0 or self.max_roots < 0 or self.holdout < 0:
             raise DomainError("search bounds must be >= 0")
 
@@ -385,7 +380,7 @@ def explore_D_even(m: int, config: SearchConfig = SearchConfig()) -> list[Closed
     power = 2 * m
     out: list[ClosedFormCandidate] = []
     for ansatz in search_catalogue(config):
-        samples, hold = fitting_nodes(power, ansatz, config.holdout, config.n_start)
+        samples, hold = fitting_nodes(power, ansatz, config.holdout)
         try:
             cand = fit("D", power, ansatz, samples, hold)
         except SingularSystem:  # fit solves a square system: never Inconsistent

@@ -369,6 +369,7 @@ ERROR_PATHS = [
     (["discover", "A", "even", "1", "--holdout", "-1"], 2),  # closed-form fit
     (["discover", "D", "even", "1", "--holdout", "-1"], 2),  # open-case search
     (["discover", "A", "even", "1", "--out", MISSING], 2),
+    (["discover", "A", "even", "1", "--n-start", "3"], 2),  # removed option
     (["table", "--families", "Q"], 2),
     (["table", "--families", ","], 2),
     (["table", "--methods", "magic"], 2),

@@ -295,14 +295,9 @@ class TestInputDomain:
             pytest.param(lambda: search_catalogue(SearchConfig(max_degree=2.5)), id="max_degree"),
             pytest.param(lambda: SearchConfig(max_roots=True), id="max_roots"),
             pytest.param(lambda: explore_D_even(0, SearchConfig(holdout=1.5)), id="holdout"),
-            pytest.param(lambda: explore_D_even(0, SearchConfig(n_start=2.5)), id="n_start"),
             pytest.param(
                 lambda: fitting_nodes(2, Ansatz((AnsatzTerm("unit", 0),)), 2.0),
                 id="fitting_nodes-holdout",
-            ),
-            pytest.param(
-                lambda: fitting_nodes(2, Ansatz((AnsatzTerm("unit", 0),)), 2, 3.0),
-                id="fitting_nodes-n_start",
             ),
             pytest.param(lambda: rediscover_all(2.5), id="rediscover-float"),
             pytest.param(lambda: rediscover_all(True), id="rediscover-bool"),
