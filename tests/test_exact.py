@@ -180,6 +180,13 @@ class TestBracket:
     def test_rising_half_closed_form(self, j):
         assert _rising_half(j) == rising(HALF, j)
 
+    def test_negative_upper_index_matches_quotient(self):
+        # the reference is the defining quotient of rising(1/2, .) values
+        half = {j: rising(HALF, j) for j in range(-140, 81)}
+        for u in range(-60, 0):
+            for k in range(-80, 81):
+                assert bracket(u, k) == half[u] / (half[k] * half[u - k]), (u, k)
+
 
 class TestIndexTypes:
     @pytest.mark.parametrize("index", [2.0, True, F(2), "2", None])
