@@ -5,15 +5,12 @@ check the recovered coefficients against the printed ones."""
 import argparse
 import sys
 
-from binomial_moments.conjecture import HOLDOUT, rediscover_all
+from binomial_moments.conjecture import rediscover_all
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--holdout", type=int, default=HOLDOUT)
-    args = ap.parse_args()
-
-    report = rediscover_all(holdout=args.holdout)
+    argparse.ArgumentParser(description=__doc__).parse_args()  # no options: --help only
+    report = rediscover_all()
     for e in report.entries:
         flag = "ok " if e.ok else "FAIL"
         note = f"  [{e.printed.region_note}]" if e.printed.region_note else ""

@@ -6,7 +6,8 @@ them, ``verify`` checks them; this module parses arguments, validates
 them and renders the results.
 
 Exit codes are stable: 0 success, 1 verification mismatch, 2 usage
-error (including an unwritable ``--out``), 3 no closed form known.
+error (including an unwritable ``--out`` or a stdout closed by its
+reader), 3 no closed form known.
 Results go to stdout (or ``--out``), diagnostics to stderr.  Every
 number printed is an exact rational string ``p/q`` (``q`` omitted when
 1).  Output is always sorted by (family, m, n) and identical for
@@ -17,18 +18,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from typing import Optional, Sequence
 
-from .conjecture import (
-    RediscoveryEntry,
-    SearchConfig,
-    explore_D_even,
-    fit,
-    fitting_nodes,
-    search_catalogue,
-)
+from .conjecture import RediscoveryEntry, SearchConfig, _explore, fit, fitting_nodes
 from .errors import MomentsError, NoClosedFormKnown
 from .moments import (
     COROLLARIES,
@@ -76,7 +71,17 @@ def _emit(text: str, out: Optional[str]) -> None:
         except OSError as exc:
             raise MomentsError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # The reader has gone (``moments table | head``).  What is still
+            # buffered would fail again in the interpreter's last flush, so
+            # the broken descriptor, and only it, is pointed at devnull: the
+            # signal module's note on SIGPIPE.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise MomentsError("stdout was closed before the output was written") from None
 
 
 # ---------------------------------------------------------------------------
@@ -124,20 +129,15 @@ def cmd_discover(args: argparse.Namespace) -> int:
     power = 2 * t if parity == "even" else 2 * t + 1
 
     if family == "D" and parity == "even":
-        config = SearchConfig(
-            max_degree=args.max_degree,
-            max_roots=args.max_roots,
-            holdout=args.holdout,
-        )
-        catalogue = search_catalogue(config)
-        candidates = explore_D_even(t, config)
+        config = SearchConfig(max_degree=args.max_degree, max_roots=args.max_roots)
+        attempted, candidates = _explore(t, config)
         verified = [c for c in candidates if c.status == "verified"]
         payload = {
             "family": family,
             "power": power,
             "mode": "open-case-search",
-            "attempted": len(catalogue),
-            "skipped_singular": len(catalogue) - len(candidates),
+            "attempted": attempted,
+            "skipped_singular": attempted - len(candidates),
             "verified_count": len(verified),
             "candidates": [c.to_dict() for c in candidates],
         }
@@ -146,8 +146,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
 
     printed = COROLLARIES.get((family, power))
     ansatz = printed.ansatz if printed else family_ansatz(family, parity, t)
-    samples, hold = fitting_nodes(power, ansatz, args.holdout)
-    candidate = fit(family, power, ansatz, samples, hold)
+    candidate = fit(family, power, ansatz, *fitting_nodes(power, ansatz))
     payload = {
         "family": family,
         "power": power,
@@ -323,7 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_disc.add_argument("m", type=int, help="half exponent: power is 2m (even) or 2m+1 (odd)")
     p_disc.add_argument("--max-degree", type=int, default=SearchConfig.max_degree)
     p_disc.add_argument("--max-roots", type=int, default=SearchConfig.max_roots)
-    p_disc.add_argument("--holdout", type=int, default=SearchConfig.holdout)
     p_disc.add_argument("--out", help="write the JSON report to this file")
     p_disc.set_defaults(func=cmd_discover)
 

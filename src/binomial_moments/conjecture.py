@@ -286,32 +286,28 @@ class RediscoveryReport:
         }
 
 
-# Verification points after the fitted ones, for refits and the even-D search.
+# The one holdout count: verification points after the fitted ones, for every
+# refit of a printed formula and every shape of the even-D search.
 HOLDOUT = 10
 
 
-def fitting_nodes(power: int, ansatz: Ansatz, holdout: int):
+def fitting_nodes(power: int, ansatz: Ansatz):
     """Sample/holdout nodes: consecutive integers from power+2 (clears every
-    printed guard and denominator root), holdout directly after the samples."""
-    require_ints("fitting_nodes", power=power, holdout=holdout)
-    if holdout < 0:
-        raise DomainError(f"holdout must be >= 0, got {holdout}")
+    printed guard and denominator root), HOLDOUT nodes directly after the samples."""
+    require_ints("fitting_nodes", power=power)
     n0 = power + 2
     excluded = ansatz.excluded_ns()
     if excluded:
         n0 = max(n0, max(excluded) + 1)
     u = ansatz.unknowns
-    samples = list(range(n0, n0 + u))
-    hold = list(range(n0 + u, n0 + u + holdout))
-    return samples, hold
+    return list(range(n0, n0 + u)), list(range(n0 + u, n0 + u + HOLDOUT))
 
 
-def rediscover_all(holdout: int = HOLDOUT) -> RediscoveryReport:
+def rediscover_all() -> RediscoveryReport:
     """Refit every printed formula from oracle data; compare coefficients."""
     report = RediscoveryReport()
     for pf in printed_forms():
-        samples, hold = fitting_nodes(pf.power, pf.ansatz, holdout)
-        cand = fit(pf.family, pf.power, pf.ansatz, samples, hold)
+        cand = fit(pf.family, pf.power, pf.ansatz, *fitting_nodes(pf.power, pf.ansatz))
         report.entries.append(RediscoveryEntry(pf, cand))
     return report
 
@@ -332,12 +328,10 @@ class SearchConfig:
 
     max_degree: int = 4
     max_roots: int = 2
-    holdout: int = HOLDOUT
 
     def __post_init__(self) -> None:
         require_ints("SearchConfig", max_degree=self.max_degree, max_roots=self.max_roots)
-        require_ints("SearchConfig", holdout=self.holdout)
-        if self.max_degree < 0 or self.max_roots < 0 or self.holdout < 0:
+        if self.max_degree < 0 or self.max_roots < 0:
             raise DomainError("search bounds must be >= 0")
 
 
@@ -365,6 +359,24 @@ def search_catalogue(config: SearchConfig) -> list[Ansatz]:
     return out
 
 
+def _explore(m: int, config: SearchConfig) -> tuple[int, list[ClosedFormCandidate]]:
+    """``explore_D_even``'s search and the number of shapes it attempted,
+    read from the one catalogue it builds."""
+    require_ints("explore_D_even", m=m)
+    if m < 0:
+        raise DomainError(f"half exponent must be >= 0, got {m}")
+    power = 2 * m
+    catalogue = search_catalogue(config)
+    out: list[ClosedFormCandidate] = []
+    for ansatz in catalogue:
+        try:
+            cand = fit("D", power, ansatz, *fitting_nodes(power, ansatz))
+        except SingularSystem:  # fit solves a square system: never Inconsistent
+            continue
+        out.append(cand)
+    return len(catalogue), out
+
+
 def explore_D_even(m: int, config: SearchConfig = SearchConfig()) -> list[ClosedFormCandidate]:
     """Fit every catalogue shape to the even sum D_{2m} and report honestly.
 
@@ -374,16 +386,4 @@ def explore_D_even(m: int, config: SearchConfig = SearchConfig()) -> list[Closed
     genuine (conjectural) discovery; an empty or fully refuted list is the
     expected outcome.
     """
-    require_ints("explore_D_even", m=m)
-    if m < 0:
-        raise DomainError(f"half exponent must be >= 0, got {m}")
-    power = 2 * m
-    out: list[ClosedFormCandidate] = []
-    for ansatz in search_catalogue(config):
-        samples, hold = fitting_nodes(power, ansatz, config.holdout)
-        try:
-            cand = fit("D", power, ansatz, samples, hold)
-        except SingularSystem:  # fit solves a square system: never Inconsistent
-            continue
-        out.append(cand)
-    return out
+    return _explore(m, config)[1]

@@ -9,9 +9,10 @@ anything else, bool and float included, raises ``DomainError``.
 
 The Pochhammer symbols build one Fraction per returned value.  For
 x = p/q in lowest terms and n >= 0, x(x+1)...(x+n-1) is the int product
-of p + iq over q^n (p - iq for the falling one), so the factors are
-multiplied as ints and the quotient is normalised once; a product of
-Fractions would take a gcd at every factor (Knuth, TAOCP Vol. 2, 4.5.1).
+of p + iq over q^n, so the factors are multiplied as ints and the
+quotient is normalised once; a product of Fractions would take a gcd at
+every factor (Knuth, TAOCP Vol. 2, 4.5.1).  The falling one is its
+reflection, (-1)^n rising(-x, n).
 """
 
 from __future__ import annotations
@@ -63,28 +64,22 @@ def rising(x: Scalar, n: int) -> Fraction:
 def falling(x: Scalar, n: int) -> Fraction:
     """Falling factorial x(x-1)...(x-n+1); empty product 1.
 
-    For n >= 0 and x = p/q in lowest terms this is prod_{i<n} (p - iq) / q^n.
-
-    For n < 0 extends by 1 / falling(x + |n|, |n|); raises
-    NegativeIndexPole when x is one of -1..-|n|.
+    The reflection of ``rising``: falling(x, n) = (-1)^n rising(-x, n) for
+    every integer n, since x - i = -(-x + i) factor by factor.  For n < 0
+    that is 1 / falling(x + |n|, |n|), and the poles, x one of -1..-|n|,
+    are those of rising(-x, n), where NegativeIndexPole is raised.
     """
     if type(n) is not int:
         require_ints("falling", n=n)
     if type(x) is not int and type(x) is not Fraction:
         require_rationals("falling", x=x)
-    if n >= 0:
-        if type(x) is int:
-            return Fraction(math.prod(range(x, x - n, -1)))
-        p, q = x.numerator, x.denominator
-        return Fraction(math.prod(p - i * q for i in range(n)), q**n)
-    x = Fraction(x)
-    k = -n
-    den = falling(x + k, k)
-    if den == 0:
+    try:
+        r = rising(-x, n)
+    except NegativeIndexPole:
         raise NegativeIndexPole(
-            f"falling({x}, {n}) undefined: x in {{-1, ..., -{k}}} makes the extension divide by zero"
-        )
-    return 1 / den
+            f"falling({x}, {n}) undefined: x in {{-1, ..., -{-n}}} makes the extension divide by zero"
+        ) from None
+    return -r if n & 1 else r
 
 
 def binomial(x: Scalar, k: int) -> Fraction:

@@ -138,7 +138,7 @@ def test_criterion_7_bracket_structure():
 
 
 def test_criterion_8_rediscovery():
-    report = rediscover_all(holdout=10)
+    report = rediscover_all()
     assert report.all_ok, [e.printed.label for e in report.failures()]
     for e in report.entries:
         assert e.candidate.status == "verified", e.printed.label

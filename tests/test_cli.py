@@ -1,15 +1,18 @@
 import inspect
 import json
 import math
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from binomial_moments import moments, verify
+from binomial_moments import cli, conjecture, moments, verify
 from binomial_moments.cli import main
-from binomial_moments.errors import DomainError
+from binomial_moments.conjecture import SearchConfig, search_catalogue
+from binomial_moments.errors import DomainError, SingularSystem
 
 
 def run(capsys, *argv):
@@ -269,6 +272,45 @@ class TestDiscover:
         assert payload["verified_count"] == 0
         assert all(c["status"] == "refuted" for c in payload["candidates"])
 
+    def test_open_case_search_builds_the_catalogue_once(self, capsys, monkeypatch):
+        builds = []
+
+        def counting(config):
+            builds.append(config)
+            return search_catalogue(config)
+
+        for module in (cli, conjecture):
+            if hasattr(module, "search_catalogue"):
+                monkeypatch.setattr(module, "search_catalogue", counting)
+        code, out, _ = run(capsys, "discover", "D", "even", "1")
+        assert code == 0
+        assert builds == [SearchConfig()]
+        assert json.loads(out)["attempted"] == len(search_catalogue(SearchConfig()))
+
+    def test_singular_shapes_are_counted_as_skipped(self, capsys, monkeypatch):
+        catalogue = search_catalogue(SearchConfig(max_degree=1, max_roots=1))
+        singular = set(catalogue[::3])
+        real_fit = conjecture.fit
+
+        def fit(family, power, ansatz, samples, holdout):
+            if ansatz in singular:
+                raise SingularSystem("forced for the test")
+            return real_fit(family, power, ansatz, samples, holdout)
+
+        monkeypatch.setattr(conjecture, "fit", fit)
+        code, out, _ = run(
+            capsys, "discover", "D", "even", "1", "--max-degree", "1", "--max-roots", "1"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        k = len(singular)
+        assert 0 < k < len(catalogue)
+        assert payload["attempted"] == len(catalogue)
+        assert payload["skipped_singular"] == k
+        assert len(payload["candidates"]) == payload["attempted"] - k
+        kept = [a.describe() for a in catalogue if a not in singular]
+        assert [c["ansatz"] for c in payload["candidates"]] == kept
+
     def test_usage(self, capsys):
         assert run(capsys, "discover", "A", "sideways", "1")[0] == 2
         assert run(capsys, "discover", "A", "even", "-1")[0] == 2
@@ -366,8 +408,9 @@ ERROR_PATHS = [
     (["discover", "E", "even", "1"], 2),
     (["discover", "A", "sideways", "1"], 2),
     (["discover", "A", "even", "-1"], 2),
-    (["discover", "A", "even", "1", "--holdout", "-1"], 2),  # closed-form fit
-    (["discover", "D", "even", "1", "--holdout", "-1"], 2),  # open-case search
+    (["discover", "A", "even", "1", "--holdout", "-1"], 2),  # removed option
+    (["discover", "D", "even", "1", "--holdout", "-1"], 2),  # removed option
+    (["discover", "A", "even", "1", "--holdout", "3"], 2),  # removed option
     (["discover", "A", "even", "1", "--out", MISSING], 2),
     (["discover", "A", "even", "1", "--n-start", "3"], 2),  # removed option
     (["table", "--families", "Q"], 2),
@@ -392,3 +435,28 @@ def test_error_path_exit_code(capsys, tmp_path, argv, code):
     assert got == code
     assert out == ""
     assert err.strip() and "Traceback" not in err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_2_without_traceback(unbuffered):
+    """``python -m binomial_moments table ... | head -n 1``: the reader takes
+    one line of a 574 kB report and closes the pipe."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = ["table", "--m-max", "16", "--n-max", "60", "--methods", "oracle", "--format", "json"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "binomial_moments", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert code == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.splitlines() == ["error: stdout was closed before the output was written"]

@@ -235,7 +235,7 @@ class TestFit:
         ansatz = Ansatz(
             (AnsatzTerm("central", 3, roots=((2, -1), (2, -3), (2, -5))),)
         )
-        samples, hold = fitting_nodes(5, ansatz, 10)
+        samples, hold = fitting_nodes(5, ansatz)
         cand = fit("B", 5, ansatz, samples, hold)
         assert cand.status == "verified"
         # numerator n^2 (4n - 1) / 2
@@ -294,13 +294,6 @@ class TestInputDomain:
         [
             pytest.param(lambda: search_catalogue(SearchConfig(max_degree=2.5)), id="max_degree"),
             pytest.param(lambda: SearchConfig(max_roots=True), id="max_roots"),
-            pytest.param(lambda: explore_D_even(0, SearchConfig(holdout=1.5)), id="holdout"),
-            pytest.param(
-                lambda: fitting_nodes(2, Ansatz((AnsatzTerm("unit", 0),)), 2.0),
-                id="fitting_nodes-holdout",
-            ),
-            pytest.param(lambda: rediscover_all(2.5), id="rediscover-float"),
-            pytest.param(lambda: rediscover_all(True), id="rediscover-bool"),
             pytest.param(lambda: explore_D_even(1.5), id="explore-float"),
             pytest.param(lambda: explore_D_even(True), id="explore-bool"),
         ],
@@ -331,6 +324,19 @@ class TestInputDomain:
         with pytest.raises(DomainError):
             fit("A", 2, ansatz, [1, 2], [3])
 
+    def test_holdout_cannot_be_set(self):
+        """HOLDOUT is the one holdout count: no field or parameter overrides it."""
+        shape = Ansatz((AnsatzTerm("unit", 0),))
+        samples, hold = fitting_nodes(2, shape)
+        assert hold == list(range(samples[-1] + 1, samples[-1] + 1 + conjecture.HOLDOUT))
+        assert conjecture.HOLDOUT == 10
+        with pytest.raises(TypeError):
+            SearchConfig(holdout=10)
+        with pytest.raises(TypeError):
+            fitting_nodes(2, shape, 10)
+        with pytest.raises(TypeError):
+            rediscover_all(10)
+
     def test_root_with_zero_slope_is_refused_before_fitting(self):
         with pytest.raises(DomainError):
             fit("A", 1, Ansatz((AnsatzTerm("unit", 0, roots=((0, 0),)),)), [3], [4])
@@ -338,7 +344,7 @@ class TestInputDomain:
 
 class TestRediscovery:
     def test_all_printed_formulas_recovered(self):
-        report = rediscover_all(holdout=10)
+        report = rediscover_all()
         assert len(report.entries) == 41
         for e in report.entries:
             assert e.candidate.status == "verified", e.printed.label
@@ -368,5 +374,5 @@ class TestExploreDEven:
         assert family_ansatz("D", "even", 1) is None
         assert family_ansatz("A", "even", 3).unknowns == 4
         shape = family_ansatz("C", "odd", 2)
-        samples, hold = fitting_nodes(5, shape, 10)
+        samples, hold = fitting_nodes(5, shape)
         assert fit("C", 5, shape, samples, hold).status == "verified"
