@@ -23,7 +23,7 @@ import sys
 from contextlib import contextmanager
 from typing import Optional, Sequence
 
-from .conjecture import RediscoveryEntry, SearchConfig, _explore, fit, fitting_nodes
+from .conjecture import RediscoveryEntry, SearchConfig, _explore, fit
 from .errors import MomentsError, NoClosedFormKnown
 from .moments import (
     COROLLARIES,
@@ -146,7 +146,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
 
     printed = COROLLARIES.get((family, power))
     ansatz = printed.ansatz if printed else family_ansatz(family, parity, t)
-    candidate = fit(family, power, ansatz, *fitting_nodes(power, ansatz))
+    candidate = fit(family, power, ansatz)
     payload = {
         "family": family,
         "power": power,

@@ -15,9 +15,10 @@ checked on holdout points disjoint from the fit.  The system is built in
 ``int``: each row is the ansatz's ``basis_row`` at a sample n and the
 oracle value there, both scaled by the lcm of their denominators.  The
 holdout check evaluates the candidate through ``Ansatz.value``, the same
-int row summed against the coefficients.  A candidate is only
-``verified`` when every holdout point matches exactly; with no holdout
-it can only be ``underdetermined``.
+int row summed against the coefficients.  ``fit`` takes no nodes: it
+reads them from ``fitting_nodes``, the one node rule, so every fit has
+HOLDOUT verification points and a candidate is ``verified`` exactly when
+every one of them matches.
 
 ``rediscover_all`` refits every printed simplified formula in
 ``moments.COROLLARIES`` from oracle data alone and compares the
@@ -58,7 +59,7 @@ class ClosedFormCandidate:
     coefficients: tuple[Fraction, ...]
     fitted_on: tuple[int, ...]
     verified_on: tuple[int, ...]
-    status: str  # verified | refuted | underdetermined
+    status: str  # verified | refuted
     first_mismatch: Optional[int] = None
 
     def value_at(self, n: int) -> Fraction:
@@ -165,55 +166,37 @@ def solve_exact(
     return [Fraction(v, det) for v in x_det]
 
 
-def _sorted_nodes(name: str, nodes: Sequence[int]) -> list[int]:
-    """The nodes as a sorted list, after checking that each one is an int."""
-    try:
-        it = iter(nodes)
-    except TypeError:
-        raise DomainError(f"fit: {name} must be an iterable of ints, got {nodes!r}") from None
-    out = list(it)
-    for n in out:
-        if type(n) is not int:
-            raise DomainError(f"fit: the nodes in {name} must be ints, got {n!r}")
-    return sorted(out)
+# The one holdout count: verification points after the fitted ones, for every
+# refit of a printed formula and every shape of the even-D search.
+HOLDOUT = 10
 
 
-def fit(
-    family: str,
-    power: int,
-    ansatz: Ansatz,
-    sample_ns: Sequence[int],
-    holdout_ns: Sequence[int],
-) -> ClosedFormCandidate:
+def fitting_nodes(power: int, ansatz: Ansatz):
+    """Sample/holdout nodes: consecutive integers from power+2 (clears every
+    printed guard and denominator root), HOLDOUT nodes directly after the samples."""
+    require_ints("fitting_nodes", power=power)
+    n0 = power + 2
+    excluded = ansatz.excluded_ns()
+    if excluded:
+        n0 = max(n0, max(excluded) + 1)
+    u = ansatz.unknowns
+    return list(range(n0, n0 + u)), list(range(n0 + u, n0 + u + HOLDOUT))
+
+
+def fit(family: str, power: int, ansatz: Ansatz) -> ClosedFormCandidate:
     """Fit the ansatz coefficients to oracle values exactly, then verify.
 
-    The first `ansatz.unknowns` sample points (in increasing order) build a
-    square system; remaining samples join the holdout as verification
-    points.  Status is ``verified`` only when every verification point
-    matches exactly and at least one exists; a mismatch yields ``refuted``
-    with the smallest mismatching n recorded.
+    The nodes are ``fitting_nodes(power, ansatz)``: ``ansatz.unknowns``
+    samples build a square system, and the HOLDOUT points after them
+    verify it.  Status is ``verified`` when every holdout point matches
+    exactly; a mismatch yields ``refuted`` with the smallest mismatching n
+    recorded.
     """
     if not isinstance(ansatz, Ansatz):
         raise DomainError(f"fit needs an Ansatz, got {ansatz!r}")
-    samples = _sorted_nodes("sample_ns", sample_ns)
-    holdout = _sorted_nodes("holdout_ns", holdout_ns)
-    if len(set(samples)) != len(samples) or len(set(holdout)) != len(holdout):
-        raise DomainError("duplicate nodes")
-    if set(samples) & set(holdout):
-        raise DomainError("holdout nodes must be disjoint from sample nodes")
-    excluded = ansatz.excluded_ns()
-    for n in samples + holdout:
-        if n < 1:
-            raise DomainError(f"nodes must be >= 1, got {n}")
-        if n in excluded:
-            raise DomainError(f"node n={n} hits a denominator root of the ansatz")
-    u = ansatz.unknowns
-    if len(samples) < u:
-        raise DomainError(f"{u} unknowns need at least {u} sample nodes, got {len(samples)}")
-
-    fitted = samples[:u]
+    samples, holdout = fitting_nodes(power, ansatz)
     matrix, rhs = [], []
-    for n in fitted:
+    for n in samples:
         ints, den = ansatz.basis_row(n)
         v = oracle(MomentQuery(family, power, n))
         scale = math.lcm(den, v.denominator)
@@ -221,16 +204,13 @@ def fit(
         rhs.append(v.numerator * (scale // v.denominator))
     coeffs = tuple(solve_exact(matrix, rhs))
 
-    verify_pts = sorted(samples[u:] + holdout)
     cand = ClosedFormCandidate(
-        family, power, ansatz, coeffs, tuple(fitted), tuple(verify_pts), "underdetermined"
+        family, power, ansatz, coeffs, tuple(samples), tuple(holdout), "verified"
     )
-    if not verify_pts:
-        return cand
-    for n in verify_pts:
+    for n in holdout:
         if cand.value_at(n) != oracle(MomentQuery(family, power, n)):
             return replace(cand, status="refuted", first_mismatch=n)
-    return replace(cand, status="verified")
+    return cand
 
 
 # ---------------------------------------------------------------------------
@@ -286,28 +266,11 @@ class RediscoveryReport:
         }
 
 
-# The one holdout count: verification points after the fitted ones, for every
-# refit of a printed formula and every shape of the even-D search.
-HOLDOUT = 10
-
-
-def fitting_nodes(power: int, ansatz: Ansatz):
-    """Sample/holdout nodes: consecutive integers from power+2 (clears every
-    printed guard and denominator root), HOLDOUT nodes directly after the samples."""
-    require_ints("fitting_nodes", power=power)
-    n0 = power + 2
-    excluded = ansatz.excluded_ns()
-    if excluded:
-        n0 = max(n0, max(excluded) + 1)
-    u = ansatz.unknowns
-    return list(range(n0, n0 + u)), list(range(n0 + u, n0 + u + HOLDOUT))
-
-
 def rediscover_all() -> RediscoveryReport:
     """Refit every printed formula from oracle data; compare coefficients."""
     report = RediscoveryReport()
     for pf in printed_forms():
-        cand = fit(pf.family, pf.power, pf.ansatz, *fitting_nodes(pf.power, pf.ansatz))
+        cand = fit(pf.family, pf.power, pf.ansatz)
         report.entries.append(RediscoveryEntry(pf, cand))
     return report
 
@@ -346,17 +309,13 @@ def _root_options(max_roots: int) -> list[tuple[tuple[int, int], ...]]:
 
 def search_catalogue(config: SearchConfig) -> list[Ansatz]:
     """Deterministic, finite catalogue of candidate shapes."""
-    out: list[Ansatz] = []
     roots_menu = _root_options(config.max_roots)
-    for pf in PREFACTORS:
-        for roots in roots_menu:
-            for d in range(config.max_degree + 1):
-                out.append(Ansatz((AnsatzTerm(pf, d, roots),)))
-    for p1, p2 in PAIR_SHAPES:
-        for roots in roots_menu:
-            for d in range(config.max_degree + 1):
-                out.append(Ansatz((AnsatzTerm(p1, d, roots), AnsatzTerm(p2, d, roots))))
-    return out
+    return [
+        Ansatz(tuple(AnsatzTerm(pf, d, roots) for pf in shape))
+        for shape in [(pf,) for pf in PREFACTORS] + list(PAIR_SHAPES)
+        for roots in roots_menu
+        for d in range(config.max_degree + 1)
+    ]
 
 
 def _explore(m: int, config: SearchConfig) -> tuple[int, list[ClosedFormCandidate]]:
@@ -370,7 +329,7 @@ def _explore(m: int, config: SearchConfig) -> tuple[int, list[ClosedFormCandidat
     out: list[ClosedFormCandidate] = []
     for ansatz in catalogue:
         try:
-            cand = fit("D", power, ansatz, *fitting_nodes(power, ansatz))
+            cand = fit("D", power, ansatz)
         except SingularSystem:  # fit solves a square system: never Inconsistent
             continue
         out.append(cand)

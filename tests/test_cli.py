@@ -292,10 +292,10 @@ class TestDiscover:
         singular = set(catalogue[::3])
         real_fit = conjecture.fit
 
-        def fit(family, power, ansatz, samples, holdout):
+        def fit(family, power, ansatz):
             if ansatz in singular:
                 raise SingularSystem("forced for the test")
-            return real_fit(family, power, ansatz, samples, holdout)
+            return real_fit(family, power, ansatz)
 
         monkeypatch.setattr(conjecture, "fit", fit)
         code, out, _ = run(

@@ -224,44 +224,34 @@ class TestFit:
     A2 = Ansatz((AnsatzTerm("power2", 1, shift=-2),))
 
     def test_rediscovers_a2(self):
-        cand = fit("A", 2, self.A2, [1, 2, 3, 4], list(range(5, 11)))
+        cand = fit("A", 2, self.A2)
         assert cand.status == "verified"
         assert cand.coefficients == (F(0), F(1))
-        assert cand.fitted_on == (1, 2)
-        assert set(cand.verified_on) == {3, 4, 5, 6, 7, 8, 9, 10}
+        assert cand.fitted_on == (4, 5)
+        assert cand.verified_on == tuple(range(6, 16))
         assert cand.value_at(6) == oracle(MomentQuery("A", 2, 6))
 
     def test_rediscovers_b5_numerator(self):
         ansatz = Ansatz(
             (AnsatzTerm("central", 3, roots=((2, -1), (2, -3), (2, -5))),)
         )
-        samples, hold = fitting_nodes(5, ansatz)
-        cand = fit("B", 5, ansatz, samples, hold)
+        cand = fit("B", 5, ansatz)
         assert cand.status == "verified"
         # numerator n^2 (4n - 1) / 2
         assert cand.coefficients == (F(0), F(0), F(-1, 2), F(2))
 
     def test_refuted_with_first_mismatch(self):
         wrong = Ansatz((AnsatzTerm("central", 1),))
-        cand = fit("A", 2, wrong, [1, 2], [3, 4, 5])
+        cand = fit("A", 2, wrong)
         assert cand.status == "refuted"
-        assert cand.first_mismatch == 3
+        assert cand.first_mismatch == 6
 
-    def test_underdetermined_without_holdout(self):
-        cand = fit("A", 2, self.A2, [1, 2], [])
-        assert cand.status == "underdetermined"
-        assert cand.coefficients == (F(0), F(1))
-
-    def test_node_validation(self):
-        with pytest.raises(DomainError):
-            fit("A", 2, self.A2, [1, 2], [2, 3])  # overlap
-        with pytest.raises(DomainError):
-            fit("A", 2, self.A2, [1], [5])  # too few samples
-        with pytest.raises(DomainError):
-            fit("A", 2, self.A2, [1, 1, 2], [5])  # duplicate
-        rooted = Ansatz((AnsatzTerm("sign", 1, roots=((1, -3),)),))
-        with pytest.raises(DomainError):
-            fit("C", 2, rooted, [3, 4, 5], [6])  # node on the root n = 3
+    def test_nodes_start_after_the_last_root(self):
+        rooted = Ansatz((AnsatzTerm("sign", 1, roots=((1, -7),)),))
+        cand = fit("C", 2, rooted)
+        assert fitting_nodes(2, rooted) == ([8, 9], list(range(10, 20)))
+        assert cand.fitted_on == (8, 9)
+        assert cand.verified_on == tuple(range(10, 20))
 
     @pytest.mark.parametrize(
         "samples, holdout",
@@ -273,17 +263,24 @@ class TestFit:
             ([1, 2], [F(3)]),
             (5, []),
             ([1, 2], 3),
+            ([4, 5], [6]),
         ],
     )
-    def test_rejects_non_int_nodes(self, samples, holdout):
-        # a str or None node used to reach sorted() and raise TypeError
-        with pytest.raises(DomainError):
+    def test_refuses_node_arguments(self, samples, holdout):
+        # fit reads its nodes from fitting_nodes; it takes none from its caller
+        with pytest.raises(TypeError):
             fit("A", 2, self.A2, samples, holdout)
 
+    @pytest.mark.parametrize(
+        "family, power", [("X", 2), ("A", 2.0), ("A", True), ("A", -1)]
+    )
+    def test_rejects_family_and_power(self, family, power):
+        with pytest.raises(DomainError):
+            fit(family, power, self.A2)
+
     def test_deterministic(self):
-        a = fit("D", 3, Ansatz((AnsatzTerm("bracket", 2), AnsatzTerm("unit", 2))), range(5, 11), range(11, 21))
-        b = fit("D", 3, Ansatz((AnsatzTerm("bracket", 2), AnsatzTerm("unit", 2))), range(5, 11), range(11, 21))
-        assert a == b
+        shape = Ansatz((AnsatzTerm("bracket", 2), AnsatzTerm("unit", 2)))
+        assert fit("D", 3, shape) == fit("D", 3, shape)
 
 
 class TestInputDomain:
@@ -322,7 +319,7 @@ class TestInputDomain:
     )
     def test_fit_rejects_a_non_ansatz(self, ansatz):
         with pytest.raises(DomainError):
-            fit("A", 2, ansatz, [1, 2], [3])
+            fit("A", 2, ansatz)
 
     def test_holdout_cannot_be_set(self):
         """HOLDOUT is the one holdout count: no field or parameter overrides it."""
@@ -339,7 +336,7 @@ class TestInputDomain:
 
     def test_root_with_zero_slope_is_refused_before_fitting(self):
         with pytest.raises(DomainError):
-            fit("A", 1, Ansatz((AnsatzTerm("unit", 0, roots=((0, 0),)),)), [3], [4])
+            fit("A", 1, Ansatz((AnsatzTerm("unit", 0, roots=((0, 0),)),)))
 
 
 class TestRediscovery:
@@ -362,10 +359,22 @@ class TestRediscovery:
 class TestExploreDEven:
     config = SearchConfig(max_degree=2, max_roots=1)
 
+    def test_zero_bounds_give_the_one_term_shapes(self):
+        zero = SearchConfig(max_degree=0, max_roots=0)
+        assert len(search_catalogue(zero)) == 8
+        cands = explore_D_even(0, zero)
+        assert len(cands) == 8
+        assert all(c.status == "refuted" for c in cands)
+
+    @pytest.mark.parametrize("bounds", [(-1, 0), (0, -1)])
+    def test_negative_bounds_are_refused(self, bounds):
+        with pytest.raises(DomainError):
+            SearchConfig(*bounds)
+
     def test_honest_statuses(self):
         cands = explore_D_even(0, self.config)
         assert len(cands) == len(search_catalogue(self.config))
-        assert all(c.status in ("verified", "refuted", "underdetermined") for c in cands)
+        assert all(c.status in ("verified", "refuted") for c in cands)
         # nothing in the structural catalogue fits the open case
         assert all(c.status == "refuted" for c in cands)
         assert all(c.first_mismatch is not None for c in cands)
@@ -374,5 +383,4 @@ class TestExploreDEven:
         assert family_ansatz("D", "even", 1) is None
         assert family_ansatz("A", "even", 3).unknowns == 4
         shape = family_ansatz("C", "odd", 2)
-        samples, hold = fitting_nodes(5, shape)
-        assert fit("C", 5, shape, samples, hold).status == "verified"
+        assert fit("C", 5, shape).status == "verified"

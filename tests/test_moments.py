@@ -233,7 +233,7 @@ class TestAnsatzEvaluator:
         nums = data.draw(st.lists(st.integers(-50, 50), min_size=u, max_size=u))
         den = data.draw(st.integers(1, 12))
         coeffs = tuple(data.draw(st.lists(small_fraction, min_size=u, max_size=u)))
-        candidate = ClosedFormCandidate("D", 0, ansatz, coeffs, (), (), "underdetermined")
+        candidate = ClosedFormCandidate("D", 0, ansatz, coeffs, (), (), "refuted")
         excluded = ansatz.excluded_ns()
         for n in range(1, 13):
             if n in excluded:
