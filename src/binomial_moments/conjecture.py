@@ -192,6 +192,7 @@ def fit(family: str, power: int, ansatz: Ansatz) -> ClosedFormCandidate:
     exactly; a mismatch yields ``refuted`` with the smallest mismatching n
     recorded.
     """
+    require_ints("fit", power=power)
     if not isinstance(ansatz, Ansatz):
         raise DomainError(f"fit needs an Ansatz, got {ansatz!r}")
     samples, holdout = fitting_nodes(power, ansatz)

@@ -97,25 +97,34 @@ def oracle(q: MomentQuery) -> Fraction:
     """Evaluate the defining sum directly with exact arithmetic.
 
     The sum runs in ``int`` over one common denominator den and builds a
-    single Fraction at the end.  A and B have integer summands (den = 1).
-    For C and D, den = (2n-1)!! clears every bracket.  Proof: with
-    (1/2)_j = (2j-1)!! / 2^j, [2n, n-k] = (4n-1)!! / ((2n-2k-1)!! (2n+2k-1)!!),
-    so (2n-1)!! [2n, n-k] = prod_{i<k} (2n-1-2i) * prod_{odd j=2n+2k+1}^{4n-1} j,
-    an integer.  Each bracket thus adds its numerator times
-    den // its denominator.
+    single Fraction at the end.  The weights w_k (the binomial or bracket
+    times den) are walked from k = n down to k = 1, one exact int step
+    each, instead of being built from scratch per term:
+
+    * A and B: den = 1 and w_k = C(2n, n-k), so w_n = 1 and
+      w_{k-1} = w_k (n+k) / (n-k+1).
+    * C and D: den = (2n-1)!! and w_k = den [2n, n-k].  With
+      (1/2)_j = (2j-1)!! / 2^j, [2n, n-k] = (4n-1)!! / ((2n-2k-1)!! (2n+2k-1)!!),
+      so w_k = prod_{i<k} (2n-1-2i) * prod_{odd j=2n+2k+1}^{4n-1} j, an
+      integer; w_n = den and w_{k-1} = w_k (2n+2k-1) / (2n-2k+1).
+
+    Every w_k is an int and w_k times the step's numerator is w_{k-1}
+    times its denominator, so every floor division is exact.  The oracle
+    reads nothing from ``exact``: the theorem route it is checked against
+    builds its brackets there.
     """
     f, m, n = q.family, q.m, q.n
     ab = f in ("A", "B")
+    alternating = f in ("B", "C")
     den = 1 if ab else math.prod(range(1, 2 * n, 2))
-    total = 0
-    for k in range(1, n + 1):
-        if ab:
-            w = math.comb(2 * n, n - k)
-        else:
-            b = bracket(2 * n, n - k)
-            w = b.numerator * (den // b.denominator)
+    w, total = den, 0
+    for k in range(n, 0, -1):
         term = w * k**m
-        total += -term if f in ("B", "C") and k % 2 == 0 else term
+        total += -term if alternating and k % 2 == 0 else term
+        if ab:
+            w = w * (n + k) // (n - k + 1)
+        else:
+            w = w * (2 * n + 2 * k - 1) // (2 * n - 2 * k + 1)
     return Fraction(total, den)
 
 
@@ -148,6 +157,28 @@ def _bracket_ints(upper: int, lower: int) -> tuple[int, int]:
         return math.comb(2 * upper, 2 * lower), math.comb(upper, lower)
     b = bracket(upper, lower)
     return b.numerator, b.denominator
+
+
+def _diagonal_brackets(n: int, t: int) -> list[tuple[int, int]]:
+    """The diagonal brackets [2n-2l, n-l] for l = 0..t, as int pairs
+    (num, den) not in lowest terms.
+
+    [2n, n] comes once from ``_bracket_ints``; each next bracket is one
+    step down the diagonal.  With u = n - l and [2u, u] = (1/2)_{2u} / (1/2)_u^2,
+    the rule (1/2)_j = (1/2)_{j-1} (j - 1/2) gives
+    [2u-2, u-1] = [2u, u] (2u-1)^2 / ((4u-1)(4u-3)).  The rule holds for
+    every integer j in the extension to negative indices, so the step also
+    holds for u <= 0 (odd D reaches it when n <= t), and (4u-1)(4u-3) is
+    never 0.  Each step multiplies by small ints only; ``_sum_over`` folds
+    the growing denominators by lcm.
+    """
+    num, den = _bracket_ints(2 * n, n)
+    out = [(num, den)]
+    for u in range(n, n - t, -1):
+        num *= (2 * u - 1) ** 2
+        den *= (4 * u - 1) * (4 * u - 3)
+        out.append((num, den))
+    return out
 
 
 def _sum_over(terms: Iterable[tuple[int, int]], scale: int) -> Fraction:
@@ -266,7 +297,10 @@ def odd_moment_c(t: int, n: int, shifted_sigma: bool = True) -> Fraction:
 
     falling(2n-1/2, 2l) = F_l / 4^l with F_l = prod_{i<2l} (4n-1-2i), and
     sigma_{t,l}(y) = S_l / q^(2(t-l)) with q = 2 or 1, so with c = 2/q every
-    summand carries c^(2(t-l)) over the common 8 * 4^t.
+    summand carries c^(2(t-l)) over the common 8 * 4^t.  The diagonal
+    brackets [2n-2l, n-l] come from ``_diagonal_brackets``: [2n, n] once,
+    then one exact step of small int factors per l.  [2n-2l, -l] is a
+    product of l small factors (see ``exact.bracket``).
     """
     _check_half_exponent("odd_moment_c", t, n)
     if n <= t + 1:
@@ -278,8 +312,7 @@ def odd_moment_c(t: int, n: int, shifted_sigma: bool = True) -> Fraction:
 
     def terms():
         f = 1  # F_l
-        for ell in range(t + 1):
-            an, ad = _bracket_ints(2 * n - 2 * ell, n - ell)
+        for ell, (an, ad) in enumerate(_diagonal_brackets(n, t)):
             bn, bd = _bracket_ints(2 * n - 2 * ell, -ell)
             inner = (2 * n - 2 * ell - 1) * an * bd
             inner += sign_n * (2 * n + 1) * (2 * ell + 1) * bn * ad
@@ -300,14 +333,16 @@ def odd_moment_d(t: int, n: int, sign_first_term_only: bool = True) -> Fraction:
 
     falling(2n-1/2, 2l) = F_l / 4^l with F_l = prod_{i<2l} (4n-1-2i) and
     sigma_{t,l}(n-1/2) = S_l / 4^(t-l), so every summand is over 4^(t+1).
+    The diagonal brackets [2n-2l, n-l] come from ``_diagonal_brackets``:
+    [2n, n] once, then one exact step of small int factors per l, also
+    past the diagonal's origin (n - l <= 0) when n <= t.
     """
     _check_half_exponent("odd_moment_d", t, n)
     row, _ = sigma_row_ints(t, Fraction(2 * n - 1, 2))
 
     def terms():
         f = 1  # F_l
-        for ell in range(t + 1):
-            an, ad = _bracket_ints(2 * n - 2 * ell, n - ell)
+        for ell, (an, ad) in enumerate(_diagonal_brackets(n, t)):
             bn, bd = _bracket_ints(2 * n - ell, ell)
             first = (2 * n - 2 * ell - 1) * an * bn
             second = (2 * ell + 1) * bd * ad

@@ -278,6 +278,11 @@ class TestFit:
         with pytest.raises(DomainError):
             fit(family, power, self.A2)
 
+    @pytest.mark.parametrize("power", [2.0, True])
+    def test_power_is_checked_by_fit(self, power):
+        with pytest.raises(DomainError, match=r"^fit: power must be an int"):
+            fit("A", power, self.A2)
+
     def test_deterministic(self):
         shape = Ansatz((AnsatzTerm("bracket", 2), AnsatzTerm("unit", 2)))
         assert fit("D", 3, shape) == fit("D", 3, shape)

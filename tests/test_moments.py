@@ -85,6 +85,37 @@ class TestOracle:
         got = oracle(MomentQuery(family, m, n))
         assert type(got) is Fraction and got == ref
 
+    @given(family=st.sampled_from("ABCD"), m=st.integers(0, 12), n=st.integers(1, 300))
+    @settings(max_examples=100, deadline=None)
+    def test_walk_matches_per_term_sum(self, family, m, n):
+        # the reference builds every weight from scratch, as the oracle once
+        # did: a math.comb for A and B, a bracket over (2n-1)!! for C and D
+        ab = family in "AB"
+        den = 1 if ab else math.prod(range(1, 2 * n, 2))
+        total = 0
+        for k in range(1, n + 1):
+            if ab:
+                w = math.comb(2 * n, n - k)
+            else:
+                b = bracket(2 * n, n - k)
+                w = b.numerator * (den // b.denominator)
+            term = w * k**m
+            total += -term if family in "BC" and k % 2 == 0 else term
+        got = oracle.__wrapped__(MomentQuery(family, m, n))
+        assert type(got) is Fraction and got == Fraction(total, den)
+
+    def test_reads_no_bracket(self, monkeypatch):
+        # the oracle-vs-theorem check compares two separate implementations
+        queries = [MomentQuery(family, 5, 12) for family in "ABCD"]
+        expected = [closed_form(q).value for q in queries]
+
+        def refuse(*args):
+            raise AssertionError("the oracle read bracket")
+
+        monkeypatch.setattr("binomial_moments.moments.bracket", refuse)
+        monkeypatch.setattr("binomial_moments.exact.bracket", refuse)
+        assert [oracle.__wrapped__(q) for q in queries] == expected
+
     def test_double_factorial_clears_every_bracket(self):
         # the common denominator the C/D oracle sums over
         for n in range(1, 301):
@@ -434,6 +465,18 @@ def outcome(fn, *args, **kwargs):
     except PreconditionViolated as exc:
         return ("precondition", str(exc))
     return ("value", value, type(value))
+
+
+class TestDiagonalBrackets:
+    def test_ladder_matches_bracket_ints(self):
+        # n <= t steps past the diagonal's origin to negative upper indices
+        for t in range(13):
+            for n in range(1, 81):
+                ladder = moments._diagonal_brackets(n, t)
+                assert len(ladder) == t + 1
+                for ell, (num, den) in enumerate(ladder):
+                    expected = moments._bracket_ints(2 * n - 2 * ell, n - ell)
+                    assert Fraction(num, den) == Fraction(*expected), (t, n, ell)
 
 
 class TestIntClosedForms:
