@@ -58,11 +58,14 @@ DISCOVER_D_EVEN_SHA256 = {
 }
 
 # sha256 of json.dumps([c.to_dict() for c in explore_D_even(M, WIDE_SEARCH)],
-# indent=2), 606470 bytes (M = 1) and 681876 bytes (M = 2).
+# indent=2), 541964, 606470, 681876 and 740620 bytes for M = 0..3.  At M = 0
+# the first node moves past the int roots, so the samples depend on the roots.
 WIDE_SEARCH = SearchConfig(max_degree=6, max_roots=3)
 EXPLORE_D_EVEN_WIDE_SHA256 = {
+    0: "508005e35a9c3de2ce8f76c3e5b9f9403b1b1aa0998e190c37a560648eec0e59",
     1: "d40f63de92437350101e38cba8188ac5755238cd96ea9807b59e48702308ac6f",
     2: "609bca000a644d55c84614305e1f7642fa35366a352e91a1734341d53530513d",
+    3: "3441b607bfee7bfa1c866ea04240a993facfddecbaf00f7ea5bc73bf8053535b",
 }
 
 
