@@ -31,8 +31,10 @@ never fabricates a result.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import DomainError, Inconsistent, SingularSystem, require_ints, require_rationals
@@ -94,38 +96,92 @@ class ClosedFormCandidate:
         }
 
 
+@lru_cache(maxsize=32)
+def _bareiss(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple, tuple]:
+    """Bareiss fraction-free elimination (Math. Comp. 22, 1968) of int rows.
+
+    Returns ``(order, uppers, multipliers)``: the original row index at
+    each position after the pivot swaps; for pivot row c, its entries from
+    column c on (the pivot first); and for column c, the entries that the
+    rows below the pivot held in column c when step c eliminated them.
+    After step c each entry below row c is the minor that borders the
+    leading (c+1) x (c+1) block, so the division by the previous pivot is
+    exact and no gcd is taken.  The pivot is the first nonzero entry at or
+    below the diagonal, as in Gauss-Jordan.  A Bareiss entry is the Gauss
+    entry times the leading minor, which is nonzero, so both raise
+    SingularSystem on the same column.
+    """
+    nrows, ncols = len(rows), len(rows[0])
+    work = [list(r) for r in rows]
+    order = list(range(nrows))
+    det = 1  # the leading minor of the rows pivoted so far
+    for c in range(ncols):
+        piv = next((i for i in range(c, nrows) if work[i][c]), None)
+        if piv is None:
+            raise SingularSystem(f"no pivot available for column {c}")
+        work[c], work[piv] = work[piv], work[c]
+        order[c], order[piv] = order[piv], order[c]
+        p, tail = work[c][c], work[c][c + 1 :]
+        # Column c of the rows below is left as it is: it holds their multiplier.
+        for row in work[c + 1 :]:
+            f = row[c]
+            if f:
+                row[c + 1 :] = [(p * a - f * b) // det for a, b in zip(row[c + 1 :], tail)]
+            else:
+                row[c + 1 :] = [p * a // det for a in row[c + 1 :]]
+        det = p
+    uppers = tuple(tuple(work[c][c:]) for c in range(ncols))
+    multipliers = tuple(tuple(row[c] for row in work[c + 1 :]) for c in range(ncols))
+    return tuple(order), uppers, multipliers
+
+
 def solve_exact(
     matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> list[Fraction]:
     """Solve a square or overdetermined-consistent system exactly.
 
     Entries must be ``int`` or ``Fraction``; anything else raises
-    DomainError.  Each row, rhs included, is first multiplied by the lcm
-    of its denominators: a row scale does not move the solution, and every
-    entry becomes an ``int``.  Bareiss fraction-free elimination (Math.
-    Comp. 22, 1968) then runs in ``int``.  After step c each entry below
-    row c is the minor that borders the leading (c+1) x (c+1) block, so
-    the division by the previous pivot is exact and no gcd is taken.  The
-    pivot is the first nonzero entry at or below the diagonal, as in
-    Gauss-Jordan.  A Bareiss entry is the Gauss entry times the leading
-    minor, which is nonzero, so both raise SingularSystem on the same
-    column.  Back substitution runs on x_j * det, integers by Cramer's
-    rule, and the Fractions are built only at the end.
+    DomainError.  Each row runs through three steps:
+
+    1. It becomes int: a row of ints is taken as it is, any other row,
+       rhs included, is multiplied by the lcm of its denominators.
+    2. Its matrix part is divided by the gcd of its entries, signed so
+       that the first nonzero entry is positive; the rhs becomes the
+       reduced fraction b / (that signed gcd).  A row scale moves neither
+       the solution nor which entries are zero, so the pivots, the
+       permutation and every outcome stay those of the rows as given.
+    3. The normalised matrix is factored once by ``_bareiss``, a
+       module-level ``lru_cache`` of bound 32 keyed by the normalised
+       rows, and each right-hand side is replayed through its row order,
+       multipliers and pivots in O(u^2) int steps, over the lcm L of the
+       rhs denominators.  Back substitution runs on x_j * det * L,
+       integers by Cramer's rule, and the Fractions are built only at the
+       end.
+
+    The cache pays because normalising removes what a fit's rows share:
+    the root product of every term and a one-term prefactor are a scale
+    of the whole row.  So every one-term shape of a given degree on the
+    same nodes is the Vandermonde matrix (1, n, ..., n^d), whatever its
+    prefactor and root option, and a two-term shape is one matrix per
+    prefactor pair and degree.
 
     Raises SingularSystem when the columns are dependent (no unique
     solution) and Inconsistent when extra rows contradict the solution.
-    The residual it reports, the Bareiss entry over det times the row
-    scale, is the Schur complement that Gauss-Jordan left in that row.
+    The residual it reports, the replayed entry over det * L, times the
+    row's normalising gcd over its lcm scale, is the Schur complement
+    that Gauss-Jordan left in that row.
     """
     rows, scales = [], []
     for row, b in zip(matrix, rhs):
         vals = [*row, b]
         scale = 1
-        for v in vals:
-            if type(v) is not int and type(v) is not Fraction:
-                require_rationals("solve_exact", entry=v)
-            scale = math.lcm(scale, v.denominator)
-        rows.append([v.numerator * (scale // v.denominator) for v in vals])
+        if set(map(type, vals)) != {int}:
+            for v in vals:
+                if type(v) is not int and type(v) is not Fraction:
+                    require_rationals("solve_exact", entry=v)
+                scale = math.lcm(scale, v.denominator)
+            vals = [v.numerator * (scale // v.denominator) for v in vals]
+        rows.append(vals)
         scales.append(scale)
     if len(rows) != len(matrix) or len(rows) != len(rhs):
         raise DomainError("matrix and rhs lengths differ")
@@ -138,32 +194,39 @@ def solve_exact(
     if nrows < ncols:
         raise SingularSystem(f"{nrows} equations for {ncols} unknowns")
 
-    det = 1  # the leading minor of the rows pivoted so far
+    key, gcds, nums, dens = [], [], [], []
+    for vals in rows:
+        a, b = vals[:ncols], vals[ncols]
+        g = math.gcd(*a) or 1  # an all-zero row stays as it is
+        if next((v for v in a if v), 0) < 0:
+            g = -g
+        if g != 1:
+            a = [v // g for v in a]
+        h = math.gcd(b, g) if g > 0 else -math.gcd(b, g)
+        key.append(tuple(a))
+        gcds.append(g)
+        nums.append(b // h)
+        dens.append(g // h)
+    order, uppers, multipliers = _bareiss(tuple(key))
+
+    lcm = math.lcm(*dens)
+    y = [nums[i] * (lcm // dens[i]) for i in order]
+    det = 1
     for c in range(ncols):
-        piv = next((i for i in range(c, nrows) if rows[i][c]), None)
-        if piv is None:
-            raise SingularSystem(f"no pivot available for column {c}")
-        rows[c], rows[piv] = rows[piv], rows[c]
-        scales[c], scales[piv] = scales[piv], scales[c]
-        p, tail = rows[c][c], rows[c][c + 1 :]
-        # Column c of the rows below is left as it is: nothing reads it again.
-        for row in rows[c + 1 :]:
-            f = row[c]
-            if f:
-                row[c + 1 :] = [(p * a - f * b) // det for a, b in zip(row[c + 1 :], tail)]
-            else:
-                row[c + 1 :] = [p * a // det for a in row[c + 1 :]]
+        p, yc = uppers[c][0], y[c]
+        y[c + 1 :] = [(p * v - f * yc) // det for v, f in zip(y[c + 1 :], multipliers[c])]
         det = p
     for i in range(ncols, nrows):
-        if rows[i][ncols]:
-            residual = Fraction(rows[i][ncols], det * scales[i])
+        if y[i]:
+            j = order[i]
+            residual = Fraction(y[i] * gcds[j], det * lcm * scales[j])
             raise Inconsistent(f"row {i} reduces to 0 = {residual}")
     x_det = [0] * ncols
     for i in reversed(range(ncols)):
-        row = rows[i]
-        acc = det * row[ncols] - sum(row[j] * x_det[j] for j in range(i + 1, ncols))
-        x_det[i] = acc // row[i]
-    return [Fraction(v, det) for v in x_det]
+        u = uppers[i]
+        acc = det * y[i] - sum(map(operator.mul, u[1:], x_det[i + 1 :]))
+        x_det[i] = acc // u[0]
+    return [Fraction(v, det * lcm) for v in x_det]
 
 
 # The one holdout count: verification points after the fitted ones, for every
@@ -175,6 +238,10 @@ def fitting_nodes(power: int, ansatz: Ansatz):
     """Sample/holdout nodes: consecutive integers from power+2 (clears every
     printed guard and denominator root), HOLDOUT nodes directly after the samples."""
     require_ints("fitting_nodes", power=power)
+    if power < 0:
+        raise DomainError(f"fitting_nodes: power must be >= 0, got {power}")
+    if not isinstance(ansatz, Ansatz):
+        raise DomainError(f"fitting_nodes needs an Ansatz, got {ansatz!r}")
     n0 = power + 2
     excluded = ansatz.excluded_ns()
     if excluded:
@@ -310,6 +377,8 @@ def _root_options(max_roots: int) -> list[tuple[tuple[int, int], ...]]:
 
 def search_catalogue(config: SearchConfig) -> list[Ansatz]:
     """Deterministic, finite catalogue of candidate shapes."""
+    if not isinstance(config, SearchConfig):
+        raise DomainError(f"the search needs a SearchConfig, got {config!r}")
     roots_menu = _root_options(config.max_roots)
     return [
         Ansatz(tuple(AnsatzTerm(pf, d, roots) for pf in shape))

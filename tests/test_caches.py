@@ -25,6 +25,7 @@ def test_every_cache_is_bounded():
         "binomial_moments.sigma._sigma_row",
         "binomial_moments.sigma._sigma_series",
         "binomial_moments.moments.oracle",
+        "binomial_moments.conjecture._bareiss",
     } <= set(caches)
     for name, cache in caches.items():
         assert cache.cache_parameters()["maxsize"] is not None, name

@@ -156,6 +156,27 @@ def systems(draw, kind):
     return matrix, rhs
 
 
+row_scales = st.one_of(st.integers(-6, 6), st.integers(-(10**30), 10**30)).filter(bool)
+
+
+def right_hand_sides(kind, matrix):
+    """Right-hand sides of the given kind for a matrix drawn by ``systems``."""
+    rows, k = len(matrix), len(matrix[0])
+    if kind in ("square", "singular"):
+        return st.lists(entries, min_size=rows, max_size=rows)
+    consistent = st.lists(entries, min_size=k, max_size=k).map(lambda sol: combine(matrix, sol))
+    if kind == "consistent":
+        return consistent
+
+    @st.composite
+    def broken(draw):
+        rhs = draw(consistent)
+        rhs[draw(st.integers(0, rows - 1))] += draw(entries.filter(bool))
+        return rhs
+
+    return broken()
+
+
 class TestSolveExactMatchesReference:
     @pytest.mark.parametrize("kind", ["square", "consistent", "inconsistent", "singular"])
     @given(data=st.data())
@@ -211,6 +232,36 @@ class TestSolveExactMatchesReference:
             assert all(type(v) is int for row in matrix for v in row)
             assert all(type(v) is int for v in rhs)
             assert_same_as_reference(matrix, rhs)
+
+    @pytest.mark.parametrize("kind", ["square", "consistent", "inconsistent", "singular"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_row_scaled_copies_share_one_factorisation(self, kind, data):
+        matrix, rhs = data.draw(systems(kind))
+        warm = outcome(solve_exact, matrix, rhs)
+        copies = [
+            (data.draw(st.lists(row_scales, min_size=len(matrix), max_size=len(matrix))), b)
+            for b in data.draw(st.lists(right_hand_sides(kind, matrix), min_size=1, max_size=4))
+        ]
+        before = conjecture._bareiss.cache_info().hits
+        for scales, b in copies:
+            assert_same_as_reference(
+                [[s * v for v in row] for s, row in zip(scales, matrix)],
+                [s * v for s, v in zip(scales, b)],
+            )
+        # every copy normalises to the matrix the first solve factored
+        shared = not (isinstance(warm, tuple) and warm[0] is SingularSystem)
+        assert conjecture._bareiss.cache_info().hits - before == len(copies) * shared
+
+    def test_search_factors_each_distinct_matrix_once(self):
+        # 4 Vandermonde matrices, one per degree, serve every one-term shape
+        # and root option; each prefactor pair adds one matrix per degree
+        config = SearchConfig(max_degree=3, max_roots=1)
+        conjecture._bareiss.cache_clear()
+        explore_D_even(1, config)
+        info = conjecture._bareiss.cache_info()
+        assert info.hits + info.misses == len(search_catalogue(config))
+        assert info.misses <= 4 + len(conjecture.PAIR_SHAPES) * 4
 
     @pytest.mark.parametrize("bad", [0.5, 2.0, float("nan"), True, "1/2", None])
     def test_rejects_inexact_entries(self, bad):
@@ -338,6 +389,22 @@ class TestInputDomain:
             fitting_nodes(2, shape, 10)
         with pytest.raises(TypeError):
             rediscover_all(10)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: fitting_nodes(2, "x"), id="nodes-non-ansatz"),
+            pytest.param(
+                lambda: fitting_nodes(-5, Ansatz((AnsatzTerm("unit", 0),))),
+                id="nodes-negative-power",
+            ),
+            pytest.param(lambda: explore_D_even(1, "cfg"), id="explore-non-config"),
+            pytest.param(lambda: search_catalogue(None), id="catalogue-non-config"),
+        ],
+    )
+    def test_entry_points_refuse_with_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
 
     def test_root_with_zero_slope_is_refused_before_fitting(self):
         with pytest.raises(DomainError):
