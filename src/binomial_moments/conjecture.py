@@ -13,7 +13,16 @@ unknown polynomial coefficients are linear, so they are determined
 exactly from oracle samples by fraction-free integer elimination and then
 checked on holdout points disjoint from the fit.  The system is built in
 ``int``: each row is the ansatz's ``basis_row`` at a sample n and the
-oracle value there, both scaled by the lcm of their denominators.  The
+oracle value there, both scaled by the lcm of their denominators.
+``solve_exact`` divides each row's matrix part by its gcd, signed so the
+first nonzero entry is positive, and factors each distinct normalised
+matrix once: ``_bareiss`` is a module-level ``lru_cache`` of bound 32,
+keyed by the normalised rows, and every right-hand side is replayed
+through its stored row order, multipliers and pivots.  The root product of
+every term and a one-term prefactor scale a whole row, so they normalise
+away: on the same nodes, every one-term shape of degree d, whatever its
+prefactor and root option, is the Vandermonde matrix (1, n, ..., n^d), and
+each two-term shape is one matrix per prefactor pair and degree.  The
 holdout check evaluates the candidate through ``Ansatz.value``, the same
 int row summed against the coefficients.  ``fit`` takes no nodes: it
 reads them from ``fitting_nodes``, the one node rule, so every fit has
