@@ -27,10 +27,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 REDISCOVERY_SHA256 = "79404565b855609f7e7522c51e69e460da7afb7274076b80210abd31239740d6"
 
 # sha256 of the stdout of `moments table --m-max 16 --n-max 60 --methods M
-# --format json`, 574266 bytes (oracle) and 526836 bytes (theorem).
+# --format json`, 574266 bytes (oracle), 526836 bytes (theorem) and 346575
+# bytes (corollary, validity notes included).
 TABLE_M16_N60_SHA256 = {
     "oracle": "c12c8b239fb3d49e90d4ab3c1fcd7c1fb11dd30013ef1a253824e8992f56179a",
     "theorem": "8d620390a03ada2447cb2d23c36791958b94234ae79e65e1a1de2f8a3be9b41a",
+    "corollary": "f5796e73571a9fc145856ecba0f836a2c157f9085ae97f8b03479fe6fdc18426",
 }
 
 # Every theorem closed form at each reading of its switch, the default and
@@ -127,7 +129,7 @@ def test_flagship_verify_report(capsys):
     assert out == (GOLDEN / "verify_m8_n30_seed0.json").read_bytes()
 
 
-@pytest.mark.parametrize("method", ["oracle", "theorem"])
+@pytest.mark.parametrize("method", ["oracle", "theorem", "corollary"])
 def test_value_table(capsys, method):
     argv = ("table", "--m-max", "8", "--n-max", "30", "--methods", method, "--format", "csv")
     out = stdout_of(capsys, *argv)
