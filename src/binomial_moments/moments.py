@@ -24,13 +24,14 @@ prefactor(n) * poly(n) / prod(a*n + b)) with exact coefficients.  Its
 value, its LaTeX and the coefficients that ``conjecture`` must recover
 when it refits the formula from oracle data all derive from that record.
 The prefactor vocabulary -- 1, (-1)^n, C(2n,n), [2n,n] and 2^(2n+c) -- is
-one table, ``_PREFACTOR``, that gives each prefactor's value, plain text
-and LaTeX.  ``Ansatz.basis_row`` gives the basis at n as ints over one
-denominator, and ``Ansatz.value`` evaluates an ansatz at int
-coefficients over one denominator from that row, building one Fraction;
-a printed formula and a fitted candidate
-(``conjecture.ClosedFormCandidate.value_at``) are both evaluated through
-it.  How formulas are fitted lives in ``conjecture``.
+one table, ``_PREFACTOR``, that gives each prefactor at n as an int pair
+(num, den) with den > 0, plus its plain text and LaTeX.
+``Ansatz.basis_row`` gives the basis at n >= 1 as ints over one
+denominator from those pairs, and ``Ansatz.value`` evaluates an ansatz
+at int coefficients over one denominator from that row, building the
+one Fraction of the ansatz layer; a printed formula and a fitted
+candidate (``conjecture.ClosedFormCandidate.value_at``) are both
+evaluated through it.  How formulas are fitted lives in ``conjecture``.
 
 Two of the closed-form identities admit more than one plausible reading
 (a shifted vs unshifted symmetric-function argument for odd C, and a
@@ -57,7 +58,7 @@ from .errors import (
     require_ints,
     require_rationals,
 )
-from .exact import Scalar, binomial, bracket, central_binomial, falling
+from .exact import Scalar, binomial, bracket, falling
 from .sigma import sigma_row, sigma_row_ints, sigma_series
 
 FAMILIES = ("A", "B", "C", "D")
@@ -474,15 +475,21 @@ def lemma1_residual(m: int, x: Scalar, y: Scalar) -> Fraction:
 # ansatz records; see the module docstring.
 # ---------------------------------------------------------------------------
 
-# Each prefactor as (value at n and shift c, plain text, LaTeX).  In both
-# texts "{c}" stands for the shift c of 2^(2n+c): "" when c = 0, else signed.
+def _power2_ints(n: int, c: int) -> tuple[int, int]:
+    e = 2 * n + c
+    return (1 << e, 1) if e >= 0 else (1, 1 << -e)
+
+
+# Each prefactor as (int pair (num, den) at n >= 1 and shift c, den > 0 and
+# the pair not always in lowest terms; plain text; LaTeX).  In both texts
+# "{c}" stands for the shift c of 2^(2n+c): "" when c = 0, else signed.
 # The even-D catalogue walks PREFACTORS in this order.
 _PREFACTOR = {
-    "unit": (lambda n, c: Fraction(1), "1", ""),
-    "sign": (lambda n, c: Fraction(-1 if n % 2 else 1), "(-1)^n", "(-1)^n"),
-    "central": (lambda n, c: central_binomial(n), "binom(2n,n)", r"\binom{2n}{n}"),
-    "bracket": (lambda n, c: bracket(2 * n, n), "[2n,n]", r"\genfrac{[}{]}{0pt}{}{2n}{n}"),
-    "power2": (lambda n, c: Fraction(2) ** (2 * n + c), "2^(2n{c})", "2^{2n{c}}"),
+    "unit": (lambda n, c: (1, 1), "1", ""),
+    "sign": (lambda n, c: (-1 if n % 2 else 1, 1), "(-1)^n", "(-1)^n"),
+    "central": (lambda n, c: (math.comb(2 * n, n), 1), "binom(2n,n)", r"\binom{2n}{n}"),
+    "bracket": (lambda n, c: _bracket_ints(2 * n, n), "[2n,n]", r"\genfrac{[}{]}{0pt}{}{2n}{n}"),
+    "power2": (_power2_ints, "2^(2n{c})", "2^{2n{c}}"),
 }
 PREFACTORS = tuple(_PREFACTOR)
 
@@ -516,13 +523,16 @@ class AnsatzTerm:
         require_ints("AnsatzTerm", degree=self.degree, shift=self.shift)
         if self.degree < 0:
             raise DomainError(f"degree must be >= 0, got {self.degree}")
-        for a, b in self.roots:
-            require_ints("AnsatzTerm", root_a=a, root_b=b)
+        if type(self.roots) is not tuple:
+            raise DomainError(f"AnsatzTerm: roots must be a tuple of (a, b), got {self.roots!r}")
+        for root in self.roots:
+            if type(root) is not tuple or len(root) != 2:
+                raise DomainError(f"AnsatzTerm: a root must be a pair (a, b), got {root!r}")
+            a, b = root
+            if type(a) is not int or type(b) is not int:
+                require_ints("AnsatzTerm", root_a=a, root_b=b)
             if a == 0:
                 raise DomainError(f"a root a*n + b needs a != 0, got {(a, b)}")
-
-    def prefactor_value(self, n: int) -> Fraction:
-        return _PREFACTOR[self.prefactor][0](n, self.shift)
 
     def prefactor_texts(self) -> tuple[str, str]:
         """The prefactor as (plain text, LaTeX), with its shift filled in."""
@@ -562,31 +572,37 @@ class Ansatz:
     terms: tuple[AnsatzTerm, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= len(self.terms) <= 3:
-            raise DomainError(f"an ansatz has 1..3 terms, got {len(self.terms)}")
+        terms = self.terms
+        if type(terms) is not tuple or any(type(t) is not AnsatzTerm for t in terms):
+            raise DomainError(f"an ansatz needs a tuple of AnsatzTerm, got {terms!r}")
+        if not 1 <= len(terms) <= 3:
+            raise DomainError(f"an ansatz has 1..3 terms, got {len(terms)}")
 
     @property
     def unknowns(self) -> int:
         return sum(t.degree + 1 for t in self.terms)
 
     def basis_row(self, n: int) -> tuple[list[int], int]:
-        """The basis at n over one denominator: (ints, den) with den > 0.
+        """The basis at n >= 1 over one denominator: (ints, den) with den > 0.
 
-        Term t with prefactor P/Q and root product r contributes the basis
-        values P n^j / (Q r), j = 0..degree.  den is the lcm over the terms
-        of Q |r|, so each basis value is ints[j] / den and no Fraction is built.
+        Term t with prefactor pair (P, Q) from ``_PREFACTOR`` and root
+        product r contributes the basis values P n^j / (Q r), j = 0..degree.
+        den is the lcm over the terms of Q |r|, so each basis value is
+        ints[j] / den and no Fraction is built.
         """
         if type(n) is not int:
             require_ints("Ansatz.basis_row", n=n)
+        if n < 1:
+            raise DomainError(f"Ansatz.basis_row requires n >= 1, got {n}")
         parts = []
         den = 1
         for t in self.terms:
-            p = t.prefactor_value(n)
+            p, q = _PREFACTOR[t.prefactor][0](n, t.shift)
             r = t.root_product(n)
             if not r:
                 raise DomainError(f"n={n} hits a denominator root of {t.describe()}")
-            d = p.denominator * abs(r)
-            parts.append((t.degree, -p.numerator if r < 0 else p.numerator, d))
+            d = q * abs(r)
+            parts.append((t.degree, -p if r < 0 else p, d))
             den = math.lcm(den, d)
         ints: list[int] = []
         for degree, x, d in parts:
@@ -603,6 +619,8 @@ class Ansatz:
         nums run over the terms in order, each term's lowest degree first.
         The sum of nums[j] * ints[j] over ``basis_row(n)`` is taken in int.
         """
+        if type(nums) is not tuple and type(nums) is not list and not isinstance(nums, Sequence):
+            raise DomainError(f"Ansatz.value: coefficients must be a sequence, got {nums!r}")
         ints, row_den = self.basis_row(n)
         if len(nums) != len(ints) or set(map(type, nums)) != {int}:
             raise DomainError(f"Ansatz.value: needs {len(ints)} int coefficients, got {nums!r}")

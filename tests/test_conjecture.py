@@ -364,6 +364,11 @@ class TestInputDomain:
             {"roots": ((1.0, -1),)},
             {"roots": ((1, False),)},
             {"roots": ((0, 3),)},
+            {"roots": [(1, -1)]},
+            {"roots": ([1, -1],)},
+            {"roots": 5},
+            {"roots": ((1,),)},
+            {"roots": ((1, -1, 2),)},
         ],
     )
     def test_ansatz_term_rejects(self, fields):

@@ -224,10 +224,26 @@ class TestCorollaryValue:
                 assert entry.value(n) == oracle(MomentQuery(family, m, n)), (family, m, n)
 
 
+# Each prefactor at n and shift c as a Fraction, from the exact layer and
+# Fraction arithmetic only: a reference independent of the int pairs that
+# moments._PREFACTOR gives.
+REFERENCE_PREFACTOR = {
+    "unit": lambda n, c: F(1),
+    "sign": lambda n, c: F((-1) ** n),
+    "central": lambda n, c: central_binomial(n),
+    "bracket": lambda n, c: bracket(2 * n, n),
+    "power2": lambda n, c: F(2) ** (2 * n + c),
+}
+
+
+def reference_prefactor(t, n):
+    return REFERENCE_PREFACTOR[t.prefactor](n, t.shift)
+
+
 def reference_basis(ansatz, n):
     """prefactor(n) * n^j / root_product(n) for every term and j, in Fraction."""
     return [
-        t.prefactor_value(n) * n**j / math.prod(a * n + b for a, b in t.roots)
+        reference_prefactor(t, n) * n**j / math.prod(a * n + b for a, b in t.roots)
         for t in ansatz.terms
         for j in range(t.degree + 1)
     ]
@@ -238,7 +254,7 @@ def reference_value(ansatz, coeffs, n):
     total, i = F(0), 0
     for t in ansatz.terms:
         poly = sum(c * n**j for j, c in enumerate(coeffs[i : i + t.degree + 1]))
-        total += t.prefactor_value(n) * F(poly) / math.prod(a * n + b for a, b in t.roots)
+        total += reference_prefactor(t, n) * F(poly) / math.prod(a * n + b for a, b in t.roots)
         i += t.degree + 1
     return total
 
@@ -304,6 +320,39 @@ class TestAnsatzEvaluator:
                 ansatz.basis_row(n)
         # the unit term is 2/2; the sign term is (-1)^3 n^j / 2 at n = 3
         assert ansatz.basis_row(3) == ([2, -1, -3], 2)
+
+    @pytest.mark.parametrize("n", [0, -1, -3])
+    @pytest.mark.parametrize("prefactor", PREFACTORS)
+    def test_rejects_n_below_one(self, prefactor, n):
+        ansatz = Ansatz((AnsatzTerm(prefactor, 1, shift=-1 if prefactor == "power2" else 0),))
+        candidate = ClosedFormCandidate("D", 0, ansatz, (F(1), F(1, 2)), (), (), "refuted")
+        with pytest.raises(DomainError):
+            ansatz.basis_row(n)
+        with pytest.raises(DomainError):
+            ansatz.value((1, 2), n)
+        with pytest.raises(DomainError):
+            candidate.value_at(n)
+
+    @pytest.mark.parametrize("n", [0, -1, -3])
+    @pytest.mark.parametrize("family, m", [("A", 1), ("A", 4), ("D", 1)])
+    def test_printed_form_rejects_n_below_one(self, family, m, n):
+        with pytest.raises(DomainError):
+            COROLLARIES[(family, m)].value(n)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Ansatz(("x",)),
+            lambda: Ansatz([AnsatzTerm("unit", 0)]),
+            lambda: Ansatz((AnsatzTerm("unit", 0), None)),
+            lambda: Ansatz((AnsatzTerm("unit", 1),)).value(iter([1, 2]), 3),
+            lambda: Ansatz((AnsatzTerm("unit", 1),)).value({0: 1, 1: 2}, 3),
+        ],
+        ids=["term-not-ansatz-term", "terms-list", "term-none", "coeffs-iterator", "coeffs-dict"],
+    )
+    def test_rejects_malformed_input(self, build):
+        with pytest.raises(DomainError):
+            build()
 
     @pytest.mark.parametrize(
         "coeffs", [(1,), (1, 2, 3), (1, 0.5), (True, 1), (1, "2"), (1, F(1, 2))]
