@@ -136,6 +136,17 @@ def test_value_table(capsys, method):
     assert out == (GOLDEN / f"table_{method}_m8_n30.csv").read_bytes()
 
 
+@pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("markdown", "md"), ("latex", "tex")])
+def test_value_table_layout(capsys, fmt, suffix):
+    out = stdout_of(capsys, "table", "--m-max", "4", "--n-max", "6", "--format", fmt)
+    assert out == (GOLDEN / f"table_m4_n6.{suffix}").read_bytes()
+
+
+def test_corollary_table_family_subset(capsys):
+    out = stdout_of(capsys, "table", "--corollaries", "--families", "B,D", "--format", "latex")
+    assert out == (GOLDEN / "corollaries_BD_m8.tex").read_bytes()
+
+
 @pytest.mark.parametrize("method", sorted(TABLE_M16_N60_SHA256))
 def test_large_value_table_digest(capsys, method):
     argv = ("table", "--m-max", "16", "--n-max", "60", "--methods", method, "--format", "json")
