@@ -3,7 +3,11 @@
 A thin layer over the library: ``moments`` says what the formulas are
 (including the printed-formula table and its LaTeX), ``conjecture`` fits
 them, ``verify`` checks them; this module parses arguments, validates
-them and renders the results.
+them and renders the results.  ``table``'s value grid and printed-formula
+table go through one renderer: each table states its json records and, per
+text format, a header and a line to fill from one row, and the renderer
+owns the csv header, the markdown separator and the latex frame, one
+tabular per family.
 
 Exit codes are stable: 0 success, 1 verification mismatch, 2 usage
 error (including an unwritable ``--out`` or a stdout closed by its
@@ -165,111 +169,69 @@ def cmd_discover(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _table_cells(
+def _value_records(
     families: tuple[str, ...], methods: tuple[str, ...], m_max: int, n_max: int
-) -> list[tuple[str, int, int, dict[str, EvalResult]]]:
-    """(family, m, n, per-method results) for cells where every requested
+) -> list[dict]:
+    """One record per requested method for each cell where every requested
     method is defined; the exact values necessarily agree."""
-    cells = []
+    records = []
     for family in families:
         for m in range(0, m_max + 1):
             for n in range(1, n_max + 1):
                 q = MomentQuery(family, m, n)
-                results: dict[str, EvalResult] = {}
                 try:
-                    for method in methods:
-                        results[method] = evaluate(q, method)
+                    results = [evaluate(q, method) for method in methods]
                 except MomentsError:
                     continue
-                values = {r.value for r in results.values()}
-                if len(values) != 1:  # impossible unless an evaluator is broken
+                if len({r.value for r in results}) != 1:  # only if an evaluator is broken
                     raise MomentsError(f"methods disagree at {family} m={m} n={n}")
-                cells.append((family, m, n, results))
-    return cells
-
-
-def _render_values(fmt: str, families: tuple[str, ...], methods: tuple[str, ...], cells) -> str:
-    if fmt == "json":
-        records = []
-        for family, m, n, results in cells:
-            for method in methods:
-                r = results[method]
-                records.append(
+                records += [
                     {
                         "family": family,
                         "m": m,
                         "n": n,
-                        "method": method,
+                        "method": r.method,
                         "value": str(r.value),
                         "note": r.validity_note,
                     }
-                )
-        return json.dumps(records, indent=2)
-    if fmt == "csv":
-        lines = ["family,m,n,value"]
-        for family, m, n, results in cells:
-            lines.append(f"{family},{m},{n},{results[methods[0]].value}")
-        return "\n".join(lines)
-    if fmt == "markdown":
-        lines = ["| family | m | n | value |", "| --- | --- | --- | --- |"]
-        for family, m, n, results in cells:
-            lines.append(f"| {family} | {m} | {n} | {results[methods[0]].value} |")
-        return "\n".join(lines)
-    # latex: one tabular per family
-    blocks = []
-    for family in families:
-        rows = [c for c in cells if c[0] == family]
-        if not rows:
-            continue
-        lines = [
-            f"% family {family}",
-            r"\begin{tabular}{rrr}",
-            r"$m$ & $n$ & value \\ \hline",
-        ]
-        for _, m, n, results in rows:
-            lines.append(f"{m} & {n} & ${results[methods[0]].value}$ " + r"\\")
-        lines.append(r"\end{tabular}")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks)
+                    for r in results
+                ]
+    return records
 
 
-def _render_corollaries(fmt: str, families: tuple[str, ...], m_max: int) -> str:
-    entries = [
-        (family, m, e)
-        for (family, m), e in sorted(COROLLARIES.items())
-        if family in families and m <= m_max
-    ]
+# Each table's text layout: per format, a header and a line filled from one
+# row; latex's header comes after the tabular's column spec.
+_VALUE_LAYOUT = {
+    "csv": ("family,m,n,value", "{family},{m},{n},{value}"),
+    "markdown": ("| family | m | n | value |", "| {family} | {m} | {n} | {value} |"),
+    "latex": ("rrr", "$m$ & $n$ & value", "{m} & {n} & ${value}$"),
+}
+_FORMULA_LAYOUT = {
+    "csv": ("family,m,min_n,formula", '{family},{m},{min_n},"{formula}"'),
+    "markdown": ("| family | m | min n | formula |", "| {family} | {m} | {min_n} | `{formula}` |"),
+    "latex": ("rrl", "$m$ & guard & formula", "{m} & {guard} & ${formula}$"),
+}
+
+
+def _render(
+    fmt: str, families: tuple[str, ...], records: list[dict], rows: list[dict], layout: dict
+) -> str:
+    """json dumps ``records``; csv, markdown and latex fill ``layout[fmt]``
+    from each of ``rows``, latex with one tabular per family that has rows."""
     if fmt == "json":
-        records = [
-            {"family": family, "m": m, "min_n": e.min_n, "formula": e.latex()}
-            for family, m, e in entries
-        ]
         return json.dumps(records, indent=2)
-    if fmt == "csv":
-        lines = ["family,m,min_n,formula"]
-        for family, m, e in entries:
-            lines.append(f'{family},{m},{e.min_n},"{e.latex()}"')
-        return "\n".join(lines)
-    if fmt == "markdown":
-        lines = ["| family | m | min n | formula |", "| --- | --- | --- | --- |"]
-        for family, m, e in entries:
-            lines.append(f"| {family} | {m} | {e.min_n} | `{e.latex()}` |")
-        return "\n".join(lines)
+    *head, line = layout[fmt]
+    if fmt != "latex":
+        if fmt == "markdown":
+            head.append("|" + " --- |" * (head[0].count("|") - 1))
+        return "\n".join(head + [line.format(**r) for r in rows])
+    spec, header = head
     blocks = []
     for family in families:
-        rows = [(m, e) for fam, m, e in entries if fam == family]
-        if not rows:
-            continue
-        lines = [
-            f"% family {family}",
-            r"\begin{tabular}{rrl}",
-            r"$m$ & guard & formula \\ \hline",
-        ]
-        for m, e in rows:
-            guard = f"$n \\ge {e.min_n}$" if e.min_n > 1 else "--"
-            lines.append(f"{m} & {guard} & ${e.latex()}$ " + r"\\")
-        lines.append(r"\end{tabular}")
-        blocks.append("\n".join(lines))
+        body = [line.format(**r) + r" \\" for r in rows if r["family"] == family]
+        if body:
+            frame = [f"% family {family}", rf"\begin{{tabular}}{{{spec}}}", header + r" \\ \hline"]
+            blocks.append("\n".join(frame + body + [r"\end{tabular}"]))
     return "\n\n".join(blocks)
 
 
@@ -279,10 +241,21 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.m_max < 0 or args.n_max < 1:
         raise MomentsError(f"require m_max >= 0 and n_max >= 1, got {args.m_max}, {args.n_max}")
     if args.corollaries:
-        _emit(_render_corollaries(args.format, families, args.m_max), args.out)
+        records = [
+            {"family": family, "m": m, "min_n": e.min_n, "formula": e.latex()}
+            for (family, m), e in sorted(COROLLARIES.items())
+            if family in families and m <= args.m_max
+        ]
+        rows = [
+            dict(r, guard=f"$n \\ge {r['min_n']}$" if r["min_n"] > 1 else "--")
+            for r in records
+        ]
+        layout = _FORMULA_LAYOUT
     else:
-        cells = _table_cells(families, methods, args.m_max, args.n_max)
-        _emit(_render_values(args.format, families, methods, cells), args.out)
+        records = _value_records(families, methods, args.m_max, args.n_max)
+        rows = [r for r in records if r["method"] == methods[0]]
+        layout = _VALUE_LAYOUT
+    _emit(_render(args.format, families, records, rows, layout), args.out)
     return 0
 
 
