@@ -368,64 +368,47 @@ def check_warmup_forms(config: VerifyConfig) -> Verdicts:
 # ---------------------------------------------------------------------------
 
 
-def _variant_evidence(chosen, rejected, witnesses, evaluate) -> Evidence:
-    """evaluate(witness, variant_flag) -> value; oracle decides the reading."""
+def _variant_evidence(form, switch, family, offset, points, chosen, rejected) -> Evidence:
+    """The oracle decides between ``form``'s two readings of ``switch``: at
+    each (t, n) in ``points`` it is ``family`` with exponent 2t + offset."""
     rows = []
     ok = True
-    for w in witnesses:
-        target = w["oracle"]
-        chosen_val = evaluate(w, True)
-        rejected_val = evaluate(w, False)
+    for t, n in points:
+        target = oracle(MomentQuery(family, 2 * t + offset, n))
+        chosen_val = form(t, n, **{switch: True})
+        rejected_val = form(t, n, **{switch: False})
         rows.append(
             {
-                **{k: v for k, v in w.items() if k != "oracle"},
+                "t": t,
+                "n": n,
                 "oracle": str(target),
                 "chosen_value": str(chosen_val),
                 "rejected_value": str(rejected_val),
             }
         )
-        if chosen_val != target or rejected_val == target:
-            ok = False
+        ok = ok and chosen_val == target and rejected_val != target
     details = {"chosen": chosen, "rejected": rejected, "witnesses": rows}
-    return len(witnesses), None if ok else details, details
+    return len(points), None if ok else details, details
 
 
 def check_c_odd_argument_evidence() -> Evidence:
-    witnesses = [
-        {"t": 1, "n": 3, "oracle": oracle(MomentQuery("C", 3, 3))},
-        {"t": 2, "n": 5, "oracle": oracle(MomentQuery("C", 5, 5))},
-    ]
     return _variant_evidence(
-        "sigma argument y = n - 1/2",
-        "sigma argument y = n",
-        witnesses,
-        lambda w, flag: odd_moment_c(w["t"], w["n"], shifted_sigma=flag),
+        odd_moment_c, "shifted_sigma", "C", 1, ((1, 3), (2, 5)),
+        "sigma argument y = n - 1/2", "sigma argument y = n",
     )
 
 
 def check_d_odd_sign_evidence() -> Evidence:
-    witnesses = [
-        {"t": 1, "n": 2, "oracle": oracle(MomentQuery("D", 3, 2))},
-        {"t": 2, "n": 3, "oracle": oracle(MomentQuery("D", 5, 3))},
-    ]
     return _variant_evidence(
-        "(-1)^l on the diagonal bracket term only",
-        "(-1)^l on both terms",
-        witnesses,
-        lambda w, flag: odd_moment_d(w["t"], w["n"], sign_first_term_only=flag),
+        odd_moment_d, "sign_first_term_only", "D", 1, ((1, 2), (2, 3)),
+        "(-1)^l on the diagonal bracket term only", "(-1)^l on both terms",
     )
 
 
 def check_c_even_sign_evidence() -> Evidence:
-    witnesses = [
-        {"t": 1, "n": 2, "oracle": oracle(MomentQuery("C", 2, 2))},
-        {"t": 1, "n": 3, "oracle": oracle(MomentQuery("C", 2, 3))},
-    ]
     return _variant_evidence(
-        "global factor (-1)^n",
-        "alternating factor (-1)^l per term",
-        witnesses,
-        lambda w, flag: even_moment_c(w["t"], w["n"], global_sign=flag),
+        even_moment_c, "global_sign", "C", 0, ((1, 2), (1, 3)),
+        "global factor (-1)^n", "alternating factor (-1)^l per term",
     )
 
 
