@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -60,6 +60,12 @@ from .moments import (
 )
 
 
+def _over_lcm(coefficients: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The coefficients as int numerators over their lcm, as ``Ansatz.value`` takes them."""
+    scale = math.lcm(*[c.denominator for c in coefficients])
+    return [c.numerator * (scale // c.denominator) for c in coefficients], scale
+
+
 @dataclass(frozen=True)
 class ClosedFormCandidate:
     """A fitted candidate with its verification outcome."""
@@ -75,9 +81,8 @@ class ClosedFormCandidate:
 
     def value_at(self, n: int) -> Fraction:
         """The candidate at n, through ``Ansatz.value`` with the coefficients over their lcm."""
-        cs = self.coefficients
-        scale = math.lcm(*[c.denominator for c in cs])
-        return self.ansatz.value([c.numerator * (scale // c.denominator) for c in cs], n, scale)
+        nums, scale = _over_lcm(self.coefficients)
+        return self.ansatz.value(nums, n, scale)
 
     def term_coefficients(self) -> list[tuple[AnsatzTerm, tuple[Fraction, ...]]]:
         out = []
@@ -281,13 +286,16 @@ def fit(family: str, power: int, ansatz: Ansatz) -> ClosedFormCandidate:
         rhs.append(v.numerator * (scale // v.denominator))
     coeffs = tuple(solve_exact(matrix, rhs))
 
-    cand = ClosedFormCandidate(
-        family, power, ansatz, coeffs, tuple(samples), tuple(holdout), "verified"
-    )
+    nums, scale = _over_lcm(coeffs)
+    mismatch = None
     for n in holdout:
-        if cand.value_at(n) != oracle(MomentQuery(family, power, n)):
-            return replace(cand, status="refuted", first_mismatch=n)
-    return cand
+        if ansatz.value(nums, n, scale) != oracle(MomentQuery(family, power, n)):
+            mismatch = n
+            break
+    status = "verified" if mismatch is None else "refuted"
+    return ClosedFormCandidate(
+        family, power, ansatz, coeffs, tuple(samples), tuple(holdout), status, mismatch
+    )
 
 
 # ---------------------------------------------------------------------------
