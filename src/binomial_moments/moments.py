@@ -113,7 +113,12 @@ def oracle(q: MomentQuery) -> Fraction:
     times its denominator, so every floor division is exact.  The oracle
     reads nothing from ``exact``: the theorem route it is checked against
     builds its brackets there.
+
+    A non-MomentQuery raises DomainError, checked on cache misses only; an
+    unhashable argument fails in the cache first, with TypeError.
     """
+    if not isinstance(q, MomentQuery):
+        raise DomainError(f"oracle needs a MomentQuery, got {q!r}")
     f, m, n = q.family, q.m, q.n
     ab = f in ("A", "B")
     alternating = f in ("B", "C")
@@ -365,6 +370,8 @@ def closed_form(q: MomentQuery) -> EvalResult:
     positive.  Odd C needs n > t + 1 (denominators n - l - 1).  Even D has
     no known closed form and raises NoClosedFormKnown.
     """
+    if not isinstance(q, MomentQuery):
+        raise DomainError(f"closed_form needs a MomentQuery, got {q!r}")
     f, m, n = q.family, q.m, q.n
     if m % 2 == 0:
         t = m // 2
@@ -521,6 +528,8 @@ class AnsatzTerm:
         if self.prefactor not in PREFACTORS:
             raise DomainError(f"unknown prefactor {self.prefactor!r}")
         require_ints("AnsatzTerm", degree=self.degree, shift=self.shift)
+        if self.shift and self.prefactor != "power2":
+            raise DomainError(f"AnsatzTerm: only power2 takes a shift, got {self.shift!r}")
         if self.degree < 0:
             raise DomainError(f"degree must be >= 0, got {self.degree}")
         if type(self.roots) is not tuple:
@@ -899,7 +908,10 @@ COROLLARIES: dict[tuple[str, int], PrintedForm] = {
 
 
 def b1_second_form(n: int) -> Fraction:
-    """Alternative printed shape of the m = 1 alternating sum: C(2n-2, n-1)."""
+    """Alternative printed shape of the m = 1 alternating sum: C(2n-2, n-1), n >= 1."""
+    require_ints("b1_second_form", n=n)
+    if n < 1:
+        raise DomainError(f"b1_second_form requires n >= 1, got {n}")
     return Fraction(binomial(2 * n - 2, n - 1))
 
 
@@ -934,6 +946,8 @@ def corollary_value(q: MomentQuery) -> EvalResult:
     when n is below the formula's guard (guards sit exactly on the poles of
     the printed denominators, so no extension below them is possible).
     """
+    if not isinstance(q, MomentQuery):
+        raise DomainError(f"corollary_value needs a MomentQuery, got {q!r}")
     entry = COROLLARIES.get((q.family, q.m))
     if entry is None:
         raise NotTabulated(f"no printed formula for {q.family}_{q.m}")
@@ -947,6 +961,8 @@ def corollary_value(q: MomentQuery) -> EvalResult:
 
 def evaluate(q: MomentQuery, method: str) -> EvalResult:
     """Uniform entry point over the three evaluation routes."""
+    if not isinstance(q, MomentQuery):
+        raise DomainError(f"evaluate needs a MomentQuery, got {q!r}")
     if method == "oracle":
         return EvalResult(oracle(q), "oracle", None)
     if method == "theorem":

@@ -443,6 +443,8 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
     family gate runs only when that family is selected.  It is built per
     call, so a ``check_*`` replaced on the module is the one that runs.
     """
+    if not isinstance(config, VerifyConfig):
+        raise DomainError(f"run_verification needs a VerifyConfig, got {config!r}")
     table = (
         # name, family gate, check, arguments
         ("oracle-vs-theorem-grid", None, check_oracle_vs_theorem, config),

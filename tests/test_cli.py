@@ -157,6 +157,12 @@ class TestVerify:
         assert failed["details"]["raised_at"].startswith("test_cli.py:")
         assert "FAIL lambda-vanishing-identity" in err
 
+    @pytest.mark.parametrize("config", [None, {"m_max": 2}, (("A",), 2, 4, 0)])
+    def test_run_verification_refuses_a_non_config(self, config):
+        # before, each raised AttributeError: ... has no attribute 'families'
+        with pytest.raises(DomainError, match="^run_verification needs a VerifyConfig"):
+            verify.run_verification(config)
+
     def test_raising_checks_keep_their_names(self, monkeypatch):
         config = verify.VerifyConfig(m_max=1, n_max=2)
         names = [c.name for c in verify.run_verification(config).checks]

@@ -18,7 +18,7 @@ from binomial_moments.conjecture import (
     solve_exact,
 )
 from binomial_moments.errors import DomainError, Inconsistent, SingularSystem
-from binomial_moments.moments import MomentQuery, family_ansatz, oracle
+from binomial_moments.moments import PREFACTORS, MomentQuery, family_ansatz, oracle
 
 F = Fraction
 
@@ -374,6 +374,14 @@ class TestInputDomain:
     def test_ansatz_term_rejects(self, fields):
         with pytest.raises(DomainError):
             AnsatzTerm("unit", **{"degree": 0, **fields})
+
+    @pytest.mark.parametrize("prefactor", [p for p in PREFACTORS if p != "power2"])
+    @pytest.mark.parametrize("shift", [3, -1])
+    def test_only_power2_takes_a_shift(self, prefactor, shift):
+        # before, AnsatzTerm("unit", 1, shift=3) printed and evaluated like shift 0
+        assert AnsatzTerm("power2", 1, shift=shift).shift == shift
+        with pytest.raises(DomainError, match="only power2 takes a shift"):
+            AnsatzTerm(prefactor, 1, shift=shift)
 
     @pytest.mark.parametrize(
         "ansatz", [AnsatzTerm("power2", 1, shift=-2), "power2", None, (AnsatzTerm("unit", 0),)]

@@ -62,6 +62,28 @@ class TestQueryValidation:
         with pytest.raises(DomainError):
             MomentQuery("A", m, n)
 
+    @pytest.mark.parametrize(
+        "name, method",
+        [
+            ("oracle", None),
+            ("closed_form", None),
+            ("corollary_value", None),
+            ("evaluate", "oracle"),
+            ("evaluate", "theorem"),
+            ("evaluate", "corollary"),
+        ],
+    )
+    @pytest.mark.parametrize("q", ["A", ("A", 2, 3), None, 3], ids=["str", "tuple", "none", "int"])
+    def test_routes_refuse_a_non_query(self, name, method, q):
+        # before, each raised AttributeError: ... has no attribute 'family'
+        args = (q,) if method is None else (q, method)
+        with pytest.raises(DomainError, match=f"^{name} needs a MomentQuery"):
+            getattr(moments, name)(*args)
+
+    def test_oracle_leaves_an_unhashable_argument_to_its_cache(self):
+        with pytest.raises(TypeError):
+            oracle(["A", 2, 3])
+
 
 class TestOracle:
     def test_known_values(self):
@@ -189,6 +211,12 @@ class TestCorollaryValue:
     def test_b1_second_form_agrees(self):
         for n in range(1, 20):
             assert corollary_value(MomentQuery("B", 1, n)).value == b1_second_form(n)
+
+    @pytest.mark.parametrize("n", [0, -3, 1.5, 2.0, True])
+    def test_b1_second_form_refuses_outside_its_domain(self, n):
+        # before, 0 and -3 gave 0, and 1.5 failed inside binomial
+        with pytest.raises(DomainError, match="^b1_second_form"):
+            b1_second_form(n)
 
     def test_not_tabulated(self):
         with pytest.raises(NotTabulated):
