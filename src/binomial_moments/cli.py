@@ -4,9 +4,9 @@ A thin layer over the library: ``moments`` says what the formulas are
 (including the printed-formula table and its LaTeX), ``conjecture`` fits
 them, ``verify`` checks them; this module parses arguments, validates
 them and renders the results.  ``table``'s value grid and printed-formula
-table go through one renderer: each table states its json records and, per
-text format, a header and a line to fill from one row, and the renderer
-owns the csv header, the markdown separator and the latex frame, one
+table go through one renderer, ``_render``: each table states only its
+json records and, per text format, a header and a line to fill from one
+row; the renderer adds the markdown separator and the latex frame, one
 tabular per family.
 
 Exit codes are stable: 0 success, 1 verification mismatch, 2 usage
