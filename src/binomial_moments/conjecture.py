@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import abc
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -154,8 +155,8 @@ def solve_exact(
 ) -> list[Fraction]:
     """Solve a square or overdetermined-consistent system exactly.
 
-    Entries must be ``int`` or ``Fraction``; anything else raises
-    DomainError.  Each row runs through three steps:
+    Matrix rows and rhs are sequences of ``int`` or ``Fraction``; anything
+    else raises DomainError.  Each row runs through three steps:
 
     1. It becomes int: a row of ints is taken as it is, any other row,
        rhs included, is multiplied by the lcm of its denominators.
@@ -185,8 +186,13 @@ def solve_exact(
     row's normalising gcd over its lcm scale, is the Schur complement
     that Gauss-Jordan left in that row.
     """
+    for name, v in (("matrix", matrix), ("rhs", rhs)):
+        if type(v) is not list and not isinstance(v, abc.Sequence):
+            raise DomainError(f"solve_exact: {name} must be a sequence, got {v!r}")
     rows, scales = [], []
     for row, b in zip(matrix, rhs):
+        if type(row) is not list and not isinstance(row, abc.Sequence):
+            raise DomainError(f"solve_exact: each matrix row must be a sequence, got {row!r}")
         vals = [*row, b]
         scale = 1
         if set(map(type, vals)) != {int}:

@@ -660,9 +660,12 @@ def _int_roots(count: int) -> tuple[tuple[int, int], ...]:
 def family_ansatz(family: str, parity: str, t: int) -> Optional[Ansatz]:
     """The structural shape of a family's closed forms for half exponent t.
 
-    Every printed formula with m >= 1 has this shape; it extends to any t.
-    Returns None for even D (open).
+    Every printed formula with m >= 1 has this shape; it extends to any
+    int t >= 0.  Returns None for even D (open).  Any other argument
+    raises DomainError.
     """
+    if family not in FAMILIES or parity not in ("even", "odd") or type(t) is not int or t < 0:
+        raise DomainError(f"family_ansatz({family!r}, {parity!r}, {t!r}): no such shape")
     if family == "A" and parity == "even":
         return Ansatz((AnsatzTerm("power2", t, shift=-(1 + t)),))
     if family == "A" and parity == "odd":

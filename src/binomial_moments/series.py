@@ -27,9 +27,10 @@ denominators, ``scale`` multiplies in the scalar's numerator and
 denominator, ``series_mul`` convolves the numerators over the product of
 the denominators, ``geometric`` stores int powers and ``truncate``
 slices.  A Fraction is built only when a coefficient is read.
-``geometric`` checks its arguments and then calls ``_geometric``, the
-one geometric kernel, on the ratio's int numerator and denominator;
-``sigma`` calls that kernel directly with int ratios it has built.
+The convolution is the one int kernel, ``_convolve``, which takes plain
+int lists and checks nothing: ``series_mul`` calls it on the numerators
+of two checked series, and ``sigma`` calls it directly on int lists it
+has built, so both run the same truncated Cauchy product.
 """
 
 from __future__ import annotations
@@ -213,19 +214,24 @@ class TruncatedSeries:
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at the common order.
 
-    The int convolution of a.nums and b.nums over a.den * b.den is the
-    product; one gcd brings it to lowest terms and no Fraction is built.
+    ``_convolve(a.nums, b.nums)`` over a.den * b.den is the product; one
+    gcd brings it to lowest terms and no Fraction is built.
     """
     _require_operand("series_mul", a, TruncatedSeries)
     _require_operand("series_mul", b, TruncatedSeries)
     if a.order != b.order:
         raise OrderMismatch(f"orders differ: {a.order} vs {b.order}")
-    bi = b.nums
-    out = [0] * (a.order + 1)
-    for i, x in enumerate(a.nums):
+    return _series(a.order, _convolve(a.nums, b.nums), a.den * b.den)
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The first len(a) coefficients of the product of the int lists a and
+    b, len(b) >= len(a): a truncated Cauchy product, no gcd, no Fraction."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
         if x:
-            out[i:] = [o + x * y for o, y in zip(out[i:], bi)]
-    return _series(a.order, out, a.den * b.den)
+            out[i:] = [o + x * y for o, y in zip(out[i:], b)]
+    return out
 
 
 def geometric(c: Scalar, order: int) -> TruncatedSeries:
@@ -239,12 +245,7 @@ def geometric(c: Scalar, order: int) -> TruncatedSeries:
     c = _rational("geometric", "c", c)
     if order < 0:
         raise DomainError(f"series order must be >= 0, got {order}")
-    return _geometric(c.numerator, c.denominator, order)
-
-
-def _geometric(p: int, q: int, order: int) -> TruncatedSeries:
-    """``geometric(p/q, order)`` without the argument checks: p/q in lowest
-    terms, q > 0 and order >= 0 are the caller's to guarantee."""
+    p, q = c.numerator, c.denominator
     return _series(order, [p**k * q ** (order - k) for k in range(order + 1)], q**order)
 
 
@@ -360,10 +361,13 @@ def poly_interpolate(
         require_ints("poly_interpolate", degree_bound=degree_bound)
     if degree_bound < 0:
         raise DomainError(f"degree bound must be >= 0, got {degree_bound}")
-    pts = [
-        (_rational("poly_interpolate", "x", x), _rational("poly_interpolate", "y", y))
-        for x, y in points
-    ]
+    try:
+        pts = [
+            (_rational("poly_interpolate", "x", x), _rational("poly_interpolate", "y", y))
+            for x, y in points
+        ]
+    except (TypeError, ValueError):  # points not iterable, or a point not a pair
+        raise DomainError(f"poly_interpolate needs (x, y) pairs, got {points!r}") from None
     seen = set()
     for x, _ in pts:
         if x in seen:

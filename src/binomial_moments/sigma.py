@@ -18,14 +18,14 @@ independently; their agreement with each other is enforced by tests and
 by the verify command, and with ``sigma_row`` by the tests.
 ``sigma_series`` also builds a whole row per (m, y), from one running
 product of geometric series, because its callers read every l at one y.
-Before the factor for j = l is multiplied in, the running product is
-truncated to order m - l (``TruncatedSeries.truncate``), since entry l
-reads only its T^(m-l) coefficient; the series stay int numerators over
-one denominator throughout, and one Fraction is built per entry.  For
-y = p/q in lowest terms factor j has the ratio (y-j)^2 = (p - jq)^2 /
-q^2, already in lowest terms because gcd(p - jq, q) = gcd(p, q) = 1, so
-the int pair goes straight to the series layer's unchecked geometric
-kernel ``_geometric`` and no Fraction is built for a factor.
+For y = p/q in lowest terms factor j is 1/(1 - T s_j / q^2), s_j =
+(p - jq)^2, so coefficient k of the product over j <= l is the complete
+homogeneous H_k(s_0, ..., s_l) / q^(2k).  The running product is one int
+list of H_k, cut to order m - l since entry l reads only its T^(m-l)
+coefficient; factor l's powers s_l^k enter by the series layer's int
+convolution ``_convolve``, the Cauchy product of ``series_mul``, so no
+series, gcd or Fraction is made per factor, only one Fraction per entry.
+It stays a product by convolution, kept apart from ``sigma_row``'s recurrence.
 
 ``sigma_monomial`` and ``sigma_explicit`` sum in int over a common
 denominator and build one Fraction at the end, not one per product.
@@ -46,7 +46,7 @@ from itertools import combinations_with_replacement
 
 from .errors import DenominatorPole, DomainError, require_ints, require_rationals
 from .exact import Scalar
-from .series import Polynomial, _geometric, poly_interpolate, series_mul
+from .series import Polynomial, _convolve, poly_interpolate
 
 
 def _check_args(m: int, ell: int, y: Scalar = 0) -> None:
@@ -109,17 +109,15 @@ def sigma_series(m: int, ell: int, y: Scalar) -> Fraction:
 
 @lru_cache(maxsize=4096)
 def _sigma_series(m: int, y: Scalar) -> tuple[Fraction, ...]:
-    # One running product P_l = P_{l-1} * geometric((y-l)^2), truncated to
-    # order m - l at each step because entry l only reads its T^(m-l)
-    # coefficient.  For y = p/q the ratio (y-j)^2 is the int pair
-    # ((p - jq)^2, q^2), already in lowest terms.
+    # After factor l, h holds H_0..H_{m-l}(s_0, ..., s_l), s_j = (p - jq)^2
+    # as in the module docstring, and entry l is H_{m-l} / q^(2(m-l)).
     p, q = y.numerator, y.denominator
-    q2 = q * q
-    prod = _geometric(p * p, q2, m)
-    row = [prod.coefficient(m)]
-    for j in range(1, m + 1):
-        prod = series_mul(prod.truncate(m - j), _geometric((p - j * q) ** 2, q2, m - j))
-        row.append(prod.coefficient(m - j))
+    h = [1] + [0] * m  # the empty product
+    row = []
+    for ell in range(m + 1):
+        s = (p - ell * q) ** 2
+        h = _convolve(h[: m - ell + 1], [s**k for k in range(m - ell + 1)])
+        row.append(Fraction(h[-1], q ** (2 * (m - ell))))
     return tuple(row)
 
 
@@ -157,16 +155,19 @@ def sigma_explicit(m: int, ell: int, y: Scalar) -> Fraction:
     """
     _check_args(m, ell, y=y)
     p, q = y.numerator, y.denominator
-    den = math.prod(2 * p - j * q for j in range(1 + 2 * ell))
+    den, a = 1, [1]  # a holds A_0, ..., A_(2l+1) = D
+    for j in range(1 + 2 * ell):
+        den *= 2 * p - j * q
+        a.append(den)
     if den == 0:
         raise DenominatorPole(
             f"sigma_explicit({m}, {ell}, {y}): falling({2 * y}, {1 + 2 * ell}) = 0"
         )
-    total = 0
-    for i in range(ell + 1):
-        a = math.prod(2 * p - j * q for j in range(i))
-        b = math.prod(2 * ell * q - 2 * p - j * q for j in range(ell - i))
-        total += math.comb(ell, i) * a * b * (p - i * q) ** (1 + 2 * m)
+    total, b, c, e = 0, 1, 1, 1 + 2 * m  # i runs down: B_l = C(l, l) = 1
+    for i in range(ell, -1, -1):
+        total += c * a[i] * b * (p - i * q) ** e
+        b *= (ell + i) * q - 2 * p
+        c = c * i // (ell - i + 1)
     return Fraction(2 * (-1) ** ell * total, math.factorial(ell) * q ** (2 * m - ell) * den)
 
 

@@ -294,26 +294,27 @@ def check_sigma_poly_shape(config: VerifyConfig) -> Verdicts:
                 yield None if p(y) == sigma_series(m, ell, y) else {"m": m, "l": ell, "y": str(y)}
 
 
-def _lambda_series(n: int, ell: int, order: int, extra_factor: bool) -> TruncatedSeries:
-    """The series (1/2)_{2n} T^l / ((1/2)_{n-l}^2 prod_{j<l} (1 - T(n-j-1/2)^2)),
-    with the product extended to j = l when extra_factor is set."""
+def _lambda_series(n: int, ell: int, inverse: TruncatedSeries) -> TruncatedSeries:
+    """(1/2)_{2n} T^l / (1/2)_{n-l}^2 times ``inverse``: 1 / prod_{j<l}
+    (1 - T(n-j-1/2)^2) for lambda_l, with the factor j = l for its step."""
     c = rising(HALF, 2 * n) / rising(HALF, n - ell) ** 2
-    s = TruncatedSeries.monomial(ell, order).scale(c)
-    top = ell + 1 if extra_factor else ell
-    for j in range(top):
-        s = s * geometric(Fraction(2 * n - 2 * j - 1, 2) ** 2, order)
-    return s
+    return TruncatedSeries.monomial(ell, inverse.order).scale(c) * inverse
 
 
 @_first_witness
 def check_series_telescoping(config: VerifyConfig) -> Verdicts:
     """Consecutive terms of the vanishing-identity kernel collapse:
-    lambda_l + lambda_{l+1} equals lambda_l with one extra geometric factor."""
+    lambda_l + lambda_{l+1} equals lambda_l with one extra geometric factor.
+    The products over j < l are built once per n as one running list."""
     order = max(config.m_max, 1)
     for n in range(1, 11):
+        inverse = [TruncatedSeries.constant(1, order)]
+        for j in range(config.m_max + 1):
+            inverse.append(inverse[j] * geometric(Fraction(2 * n - 2 * j - 1, 2) ** 2, order))
         for ell in range(0, config.m_max + 1):
-            lhs = _lambda_series(n, ell, order, False) + _lambda_series(n, ell + 1, order, False)
-            rhs = _lambda_series(n, ell, order, True)
+            inv, inv_next = inverse[ell], inverse[ell + 1]
+            lhs = _lambda_series(n, ell, inv) + _lambda_series(n, ell + 1, inv_next)
+            rhs = _lambda_series(n, ell, inv_next)
             yield None if lhs == rhs else {"n": n, "l": ell}
 
 

@@ -228,6 +228,26 @@ class TestVerify:
                 assert inspect.isgeneratorfunction(check.__wrapped__), name
                 assert check.__name__ == name and check.__module__ == verify.__name__
 
+    def test_series_telescoping_is_pinned(self):
+        assert verify.check_series_telescoping(verify.VerifyConfig()) == (90, None)
+
+    @pytest.mark.parametrize("k, cases, n, ell", [(1, 1, 1, 0), (7, 5, 1, 4), (17, 73, 9, 0)])
+    def test_perturbed_factor_fails_telescoping(self, monkeypatch, k, cases, n, ell):
+        """Factor j of the products at n has ratio (n - j - 1/2)^2.  Perturbing
+        the ratio (k/2)^2 breaks the step at the first (n, l) in grid order
+        with |2n - 2l - 1| = k, although every later product shares it."""
+        geometric = verify.geometric
+        target = Fraction(k, 2) ** 2
+
+        def perturbed(c, order):
+            return geometric(c + 1 if c == target else c, order)
+
+        monkeypatch.setattr(verify, "geometric", perturbed)
+        assert verify.check_series_telescoping(verify.VerifyConfig()) == (
+            cases,
+            {"n": n, "l": ell},
+        )
+
     def test_invalid_config(self, capsys):
         assert run(capsys, "verify", "--families", "Q")[0] == 2
         assert run(capsys, "verify", "--n-max", "0")[0] == 2

@@ -419,6 +419,48 @@ class TestInputDomain:
         with pytest.raises(DomainError):
             call()
 
+    @pytest.mark.parametrize(
+        "matrix, rhs",
+        [
+            pytest.param([1], [1], id="flat-rows"),
+            pytest.param(1, [1], id="int-matrix"),
+            pytest.param([[1]], 1, id="int-rhs"),
+            pytest.param(None, None, id="none"),
+            pytest.param(iter([[1]]), [1], id="iterator-matrix"),
+            pytest.param({0: [1]}, [1], id="dict-matrix"),
+            pytest.param([{1}], [1], id="set-row"),
+        ],
+    )
+    def test_solve_exact_refuses_non_sequences(self, matrix, rhs):
+        # before, each raised TypeError
+        with pytest.raises(DomainError):
+            solve_exact(matrix, rhs)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("X", "even", 1),
+            ("A", "Odd", 1),
+            ("a", "odd", 1),
+            (None, "odd", 1),
+            ("A", "odd", -1),
+            ("D", "even", -1),
+            ("A", "odd", True),
+            ("A", "even", 1.0),
+            ("B", "odd", Fraction(1)),
+            ("C", "even", "2"),
+        ],
+    )
+    def test_family_ansatz_refuses_unknown_shapes(self, args):
+        # before, the first four returned None and the next ones an ansatz
+        # for t = -1 or t = True, or raised from AnsatzTerm
+        with pytest.raises(DomainError):
+            family_ansatz(*args)
+
+    def test_family_ansatz_keeps_even_d_open(self):
+        assert [family_ansatz("D", "even", t) for t in range(4)] == [None] * 4
+        assert family_ansatz("A", "odd", 0) == Ansatz((AnsatzTerm("central", 1),))
+
     def test_root_with_zero_slope_is_refused_before_fitting(self):
         with pytest.raises(DomainError):
             fit("A", 1, Ansatz((AnsatzTerm("unit", 0, roots=((0, 0),)),)))

@@ -357,17 +357,28 @@ def test_entries_reject_inexact_arguments(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "points",
+    [3, None, [1, 2], [(0, 1), 5], [(0,)], [(0, 1, 2)], "ab", [(0, 1), None]],
+    ids=["int", "none", "ints", "int-point", "1-tuple", "3-tuple", "str", "none-point"],
+)
+def test_interpolate_refuses_malformed_points(points):
+    # before, TypeError or ValueError escaped
+    with pytest.raises(DomainError, match="^poly_interpolate needs"):
+        poly_interpolate(points, 0)
+
+
 @pytest.mark.parametrize("c, order", [(F(1, 2), -1), (2, -3), (0, -1)])
 def test_geometric_refuses_negative_orders(c, order):
-    # geometric checks every argument before its unchecked int kernel
-    # _geometric runs; INEXACT_CALLS holds the inexact ratios and orders
+    # geometric checks every argument before it builds any power;
+    # INEXACT_CALLS holds the inexact ratios and orders
     with pytest.raises(DomainError):
         geometric(c, order)
 
 
-def test_int_geometric_entry_is_read_only_by_sigma():
+def test_int_convolution_is_read_only_by_sigma():
     package = pathlib.Path(series.__file__).parent
-    readers = [p.stem for p in sorted(package.glob("*.py")) if "_geometric" in p.read_text()]
+    readers = [p.stem for p in sorted(package.glob("*.py")) if "_convolve" in p.read_text()]
     assert readers == ["series", "sigma"]
 
 
