@@ -413,53 +413,32 @@ class TestInputDomain:
             ),
             pytest.param(lambda: explore_D_even(1, "cfg"), id="explore-non-config"),
             pytest.param(lambda: search_catalogue(None), id="catalogue-non-config"),
+            # before, each solve_exact call raised TypeError
+            pytest.param(lambda: solve_exact([1], [1]), id="solve-flat-rows"),
+            pytest.param(lambda: solve_exact(1, [1]), id="solve-int-matrix"),
+            pytest.param(lambda: solve_exact([[1]], 1), id="solve-int-rhs"),
+            pytest.param(lambda: solve_exact(None, None), id="solve-none"),
+            pytest.param(lambda: solve_exact(iter([[1]]), [1]), id="solve-iterator-matrix"),
+            pytest.param(lambda: solve_exact({0: [1]}, [1]), id="solve-dict-matrix"),
+            pytest.param(lambda: solve_exact([{1}], [1]), id="solve-set-row"),
+            # before, the first four and D even at t = -1 returned None, two
+            # returned an ansatz for t = -1 or True, the Fraction and str t
+            # raised TypeError and only the float t a DomainError
+            pytest.param(lambda: family_ansatz("X", "even", 1), id="ansatz-family-X"),
+            pytest.param(lambda: family_ansatz("A", "Odd", 1), id="ansatz-parity-Odd"),
+            pytest.param(lambda: family_ansatz("a", "odd", 1), id="ansatz-family-a"),
+            pytest.param(lambda: family_ansatz(None, "odd", 1), id="ansatz-family-none"),
+            pytest.param(lambda: family_ansatz("A", "odd", -1), id="ansatz-t-negative"),
+            pytest.param(lambda: family_ansatz("D", "even", -1), id="ansatz-D-even-negative"),
+            pytest.param(lambda: family_ansatz("A", "odd", True), id="ansatz-t-bool"),
+            pytest.param(lambda: family_ansatz("A", "even", 1.0), id="ansatz-t-float"),
+            pytest.param(lambda: family_ansatz("B", "odd", Fraction(1)), id="ansatz-t-fraction"),
+            pytest.param(lambda: family_ansatz("C", "even", "2"), id="ansatz-t-str"),
         ],
     )
     def test_entry_points_refuse_with_domain_error(self, call):
         with pytest.raises(DomainError):
             call()
-
-    @pytest.mark.parametrize(
-        "matrix, rhs",
-        [
-            pytest.param([1], [1], id="flat-rows"),
-            pytest.param(1, [1], id="int-matrix"),
-            pytest.param([[1]], 1, id="int-rhs"),
-            pytest.param(None, None, id="none"),
-            pytest.param(iter([[1]]), [1], id="iterator-matrix"),
-            pytest.param({0: [1]}, [1], id="dict-matrix"),
-            pytest.param([{1}], [1], id="set-row"),
-        ],
-    )
-    def test_solve_exact_refuses_non_sequences(self, matrix, rhs):
-        # before, each raised TypeError
-        with pytest.raises(DomainError):
-            solve_exact(matrix, rhs)
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ("X", "even", 1),
-            ("A", "Odd", 1),
-            ("a", "odd", 1),
-            (None, "odd", 1),
-            ("A", "odd", -1),
-            ("D", "even", -1),
-            ("A", "odd", True),
-            ("A", "even", 1.0),
-            ("B", "odd", Fraction(1)),
-            ("C", "even", "2"),
-        ],
-    )
-    def test_family_ansatz_refuses_unknown_shapes(self, args):
-        # before, the first four returned None and the next ones an ansatz
-        # for t = -1 or t = True, or raised from AnsatzTerm
-        with pytest.raises(DomainError):
-            family_ansatz(*args)
-
-    def test_family_ansatz_keeps_even_d_open(self):
-        assert [family_ansatz("D", "even", t) for t in range(4)] == [None] * 4
-        assert family_ansatz("A", "odd", 0) == Ansatz((AnsatzTerm("central", 1),))
 
     def test_root_with_zero_slope_is_refused_before_fitting(self):
         with pytest.raises(DomainError):
@@ -507,7 +486,8 @@ class TestExploreDEven:
         assert all(c.first_mismatch is not None for c in cands)
 
     def test_family_shapes(self):
-        assert family_ansatz("D", "even", 1) is None
+        assert [family_ansatz("D", "even", t) for t in range(4)] == [None] * 4
+        assert family_ansatz("A", "odd", 0) == Ansatz((AnsatzTerm("central", 1),))
         assert family_ansatz("A", "even", 3).unknowns == 4
         shape = family_ansatz("C", "odd", 2)
         assert fit("C", 5, shape).status == "verified"

@@ -357,17 +357,6 @@ def test_entries_reject_inexact_arguments(call):
         call()
 
 
-@pytest.mark.parametrize(
-    "points",
-    [3, None, [1, 2], [(0, 1), 5], [(0,)], [(0, 1, 2)], "ab", [(0, 1), None]],
-    ids=["int", "none", "ints", "int-point", "1-tuple", "3-tuple", "str", "none-point"],
-)
-def test_interpolate_refuses_malformed_points(points):
-    # before, TypeError or ValueError escaped
-    with pytest.raises(DomainError, match="^poly_interpolate needs"):
-        poly_interpolate(points, 0)
-
-
 @pytest.mark.parametrize("c, order", [(F(1, 2), -1), (2, -3), (0, -1)])
 def test_geometric_refuses_negative_orders(c, order):
     # geometric checks every argument before it builds any power;
@@ -406,6 +395,15 @@ WRONG_OPERAND_CALLS = {
     "Fraction plus polynomial": lambda: F(1, 2) + POLY,
     "polynomial times series": lambda: POLY * ONE,
     "polynomial None coefficients": lambda: Polynomial(None),
+    # before, the interpolation calls raised TypeError or ValueError
+    "interpolate int points": lambda: poly_interpolate(3, 0),
+    "interpolate None points": lambda: poly_interpolate(None, 0),
+    "interpolate int point": lambda: poly_interpolate([1, 2], 0),
+    "interpolate int after a pair": lambda: poly_interpolate([(0, 1), 5], 0),
+    "interpolate 1-tuple point": lambda: poly_interpolate([(0,)], 0),
+    "interpolate 3-tuple point": lambda: poly_interpolate([(0, 1, 2)], 0),
+    "interpolate str points": lambda: poly_interpolate("ab", 0),
+    "interpolate None after a pair": lambda: poly_interpolate([(0, 1), None], 0),
 }
 
 
