@@ -20,7 +20,7 @@ The package is organised by layer:
 """
 
 from . import errors
-from .exact import Rational, binomial, bracket, central_binomial, falling, rising
+from .exact import binomial, bracket, central_binomial, falling, rising
 from .moments import (
     COROLLARIES,
     EvalResult,
@@ -46,7 +46,6 @@ __all__ = [
     "EvalResult",
     "MomentQuery",
     "Polynomial",
-    "Rational",
     "TruncatedSeries",
     "binomial",
     "bracket",

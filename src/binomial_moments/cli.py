@@ -43,26 +43,21 @@ from .verify import VerifyConfig, run_verification
 FORMATS = ("json", "csv", "latex", "markdown")
 
 
+def _parse_subset(what: str, names: list[str], universe: tuple[str, ...]) -> tuple[str, ...]:
+    """The members of ``universe`` that ``names`` lists, in ``universe``'s order."""
+    unknown = set(names) - set(universe)
+    if unknown:
+        raise MomentsError(f"unknown {what}: {sorted(unknown)}")
+    subset = tuple(u for u in universe if u in names)
+    if not subset:
+        raise MomentsError(f"{what} must be a nonempty subset of {universe}")
+    return subset
+
+
 def _parse_families(text: str) -> tuple[str, ...]:
-    raw = [p for chunk in text.upper().split(",") for p in chunk.strip()]
-    fams = tuple(f for f in FAMILIES if f in raw)
-    unknown = set(raw) - set(FAMILIES)
-    if unknown:
-        raise MomentsError(f"unknown families: {sorted(unknown)}")
-    if not fams:
-        raise MomentsError(f"families must be a nonempty subset of {FAMILIES}")
-    return fams
-
-
-def _parse_methods(text: str) -> tuple[str, ...]:
-    raw = [p.strip() for p in text.split(",") if p.strip()]
-    meths = tuple(m for m in METHODS if m in raw)
-    unknown = set(raw) - set(METHODS)
-    if unknown:
-        raise MomentsError(f"unknown methods: {sorted(unknown)}")
-    if not meths:
-        raise MomentsError(f"methods must be a nonempty subset of {METHODS}")
-    return meths
+    """``--families`` is one letter per family; commas and blanks by them are ignored."""
+    letters = [f for chunk in text.upper().split(",") for f in chunk.strip()]
+    return _parse_subset("families", letters, FAMILIES)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -131,9 +126,11 @@ def cmd_discover(args: argparse.Namespace) -> int:
         raise MomentsError("discover needs FAMILY in A-D, PARITY even|odd, M >= 0")
     t = args.m
     power = 2 * t if parity == "even" else 2 * t + 1
+    # The search flags are in args only when given (argparse.SUPPRESS).
+    bounds = {k: v for k, v in vars(args).items() if k in ("max_degree", "max_roots")}
 
     if family == "D" and parity == "even":
-        config = SearchConfig(max_degree=args.max_degree, max_roots=args.max_roots)
+        config = SearchConfig(**bounds)
         attempted, candidates = _explore(t, config)
         verified = [c for c in candidates if c.status == "verified"]
         payload = {
@@ -148,6 +145,8 @@ def cmd_discover(args: argparse.Namespace) -> int:
         _emit(json.dumps(payload, indent=2), args.out)
         return 0
 
+    if bounds:
+        raise MomentsError("--max-degree and --max-roots bound only discover D even")
     printed = COROLLARIES.get((family, power))
     ansatz = printed.ansatz if printed else family_ansatz(family, parity, t)
     candidate = fit(family, power, ansatz)
@@ -237,7 +236,8 @@ def _render(
 
 def cmd_table(args: argparse.Namespace) -> int:
     families = _parse_families(args.families)
-    methods = _parse_methods(args.methods)
+    listed = [p.strip() for p in args.methods.split(",") if p.strip()]
+    methods = _parse_subset("methods", listed, METHODS)
     if args.m_max < 0 or args.n_max < 1:
         raise MomentsError(f"require m_max >= 0 and n_max >= 1, got {args.m_max}, {args.n_max}")
     if args.corollaries:
@@ -293,8 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_disc.add_argument("family", help="A, B, C or D")
     p_disc.add_argument("parity", help="even or odd")
     p_disc.add_argument("m", type=int, help="half exponent: power is 2m (even) or 2m+1 (odd)")
-    p_disc.add_argument("--max-degree", type=int, default=SearchConfig.max_degree)
-    p_disc.add_argument("--max-roots", type=int, default=SearchConfig.max_roots)
+    for flag in ("--max-degree", "--max-roots"):
+        p_disc.add_argument(flag, type=int, default=argparse.SUPPRESS, help="D even only")
     p_disc.add_argument("--out", help="write the JSON report to this file")
     p_disc.set_defaults(func=cmd_discover)
 

@@ -50,7 +50,6 @@ from typing import Optional, Sequence
 from .errors import DomainError, Inconsistent, SingularSystem, require_ints, require_rationals
 from .moments import (
     COROLLARIES,
-    PREFACTORS,
     Ansatz,
     AnsatzTerm,
     MomentQuery,
@@ -371,9 +370,10 @@ def rediscover_all() -> RediscoveryReport:
 # ---------------------------------------------------------------------------
 
 
-# The two-term shapes of the catalogue, as (prefactor, prefactor) pairs; every
-# prefactor in PREFACTORS also gives the one-term shapes.
+# The catalogue's shapes as tuples of prefactors, in catalogue order: the
+# one-term shapes, then the two-term ones.
 PAIR_SHAPES = (("bracket", "unit"), ("sign", "bracket"), ("sign", "unit"))
+SHAPES = (("unit",), ("sign",), ("central",), ("bracket",), ("power2",)) + PAIR_SHAPES
 
 
 @dataclass(frozen=True)
@@ -405,7 +405,7 @@ def search_catalogue(config: SearchConfig) -> list[Ansatz]:
     roots_menu = _root_options(config.max_roots)
     return [
         Ansatz(tuple(AnsatzTerm(pf, d, roots) for pf in shape))
-        for shape in [(pf,) for pf in PREFACTORS] + list(PAIR_SHAPES)
+        for shape in SHAPES
         for roots in roots_menu
         for d in range(config.max_degree + 1)
     ]

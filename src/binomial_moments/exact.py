@@ -3,9 +3,9 @@
 Every scalar in this package is an arbitrary-precision rational.  The
 stdlib ``fractions.Fraction`` already guarantees the invariants we need
 (always in lowest terms, positive denominator, exact arithmetic,
-division by zero raises), so it is used directly and re-exported as
-``Rational``.  Arguments must be an int or a Fraction (indices an int);
-anything else, bool and float included, raises ``DomainError``.
+division by zero raises), so it is used directly.  Arguments must be an
+int or a Fraction (indices an int); anything else, bool and float
+included, raises ``DomainError``.
 
 The Pochhammer symbols build one Fraction per returned value.  For
 x = p/q in lowest terms and n >= 0, x(x+1)...(x+n-1) is the int product
@@ -23,8 +23,6 @@ from functools import lru_cache
 from typing import Union
 
 from .errors import DomainError, NegativeIndexPole, require_ints, require_rationals
-
-Rational = Fraction
 
 Scalar = Union[Fraction, int]
 

@@ -59,6 +59,7 @@ from .errors import (
     require_rationals,
 )
 from .exact import Scalar, binomial, bracket, falling
+from .series import _poly_text
 from .sigma import sigma_row, sigma_row_ints, sigma_series
 
 FAMILIES = ("A", "B", "C", "D")
@@ -490,7 +491,6 @@ def _power2_ints(n: int, c: int) -> tuple[int, int]:
 # Each prefactor as (int pair (num, den) at n >= 1 and shift c, den > 0 and
 # the pair not always in lowest terms; plain text; LaTeX).  In both texts
 # "{c}" stands for the shift c of 2^(2n+c): "" when c = 0, else signed.
-# The even-D catalogue walks PREFACTORS in this order.
 _PREFACTOR = {
     "unit": (lambda n, c: (1, 1), "1", ""),
     "sign": (lambda n, c: (-1 if n % 2 else 1, 1), "(-1)^n", "(-1)^n"),
@@ -499,20 +499,6 @@ _PREFACTOR = {
     "power2": (_power2_ints, "2^(2n{c})", "2^{2n{c}}"),
 }
 PREFACTORS = tuple(_PREFACTOR)
-
-
-def _poly_str(coeffs: Sequence[Scalar]) -> str:
-    parts = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        elif i == 1:
-            parts.append(f"{c}*n")
-        else:
-            parts.append(f"{c}*n^{i}")
-    return " + ".join(parts) if parts else "0"
 
 
 @dataclass(frozen=True)
@@ -566,10 +552,10 @@ class AnsatzTerm:
     def describe(self, coeffs: Optional[Sequence[Fraction]] = None) -> str:
         """The term's shape in plain text, or the term itself given its coefficients."""
         pf = self.prefactor_texts()[0]
-        poly = f"poly(deg<={self.degree})" if coeffs is None else f"({_poly_str(coeffs)})"
+        poly = f"poly(deg<={self.degree})" if coeffs is None else f"({_poly_text(coeffs, 'n')})"
         s = f"{pf} * {poly}"
         if self.roots:
-            den = " ".join(f"({_poly_str((b, a))})" for a, b in self.roots)
+            den = " ".join(f"({_poly_text((b, a), 'n')})" for a, b in self.roots)
             s += f" / {den}"
         return s
 

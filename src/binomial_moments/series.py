@@ -1,10 +1,12 @@
 """Truncated formal power series, dense polynomials, exact interpolation.
 
-A TruncatedSeries is a formal power series in one variable T over
-Rational, cut off at a fixed order M: only coefficients of T^0..T^M are
+A TruncatedSeries is a formal power series in one variable T over the
+rationals, cut off at a fixed order M: only coefficients of T^0..T^M are
 stored and arithmetic never looks past index M.  Polynomials are dense
 coefficient lists (lowest degree first) in canonical form.  Both are
-immutable value objects.
+immutable value objects.  ``_poly_text`` is the one plain-text printer
+of a coefficient list, in a variable it is given: ``str`` of a
+Polynomial writes it in y, and ``moments``' ansatz descriptions in n.
 
 Every entry takes coefficients and arguments that are an int or a
 Fraction (orders, exponents and indices an int) and raises DomainError
@@ -250,7 +252,7 @@ def geometric(c: Scalar, order: int) -> TruncatedSeries:
 
 
 class Polynomial:
-    """Univariate polynomial over Rational, dense, lowest degree first.
+    """Univariate polynomial over the rationals, dense, lowest degree first.
 
     Canonical form: no trailing zero coefficients except for the zero
     polynomial, which is stored as the single coefficient 0.
@@ -335,17 +337,19 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0 and self.degree > 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*y")
-            else:
-                parts.append(f"{c}*y^{i}")
-        return " + ".join(parts) if parts else "0"
+        return _poly_text(self.coeffs, "y")
+
+
+def _poly_text(coeffs: Sequence[Scalar], var: str) -> str:
+    """sum_i coeffs[i] var^i as plain text: each nonzero coefficient c as
+    "c", "c*var" or "c*var^i", lowest degree first, joined by " + "; "0"
+    when every coefficient is zero."""
+    parts = [
+        str(c) if i == 0 else f"{c}*{var}" if i == 1 else f"{c}*{var}^{i}"
+        for i, c in enumerate(coeffs)
+        if c
+    ]
+    return " + ".join(parts) or "0"
 
 
 def poly_interpolate(
@@ -353,7 +357,7 @@ def poly_interpolate(
 ) -> Polynomial:
     """Exact polynomial through the first degree_bound+1 points.
 
-    Uses Newton divided differences over Rational.  All abscissae must be
+    Uses Newton divided differences over the rationals.  All abscissae must be
     distinct; any points beyond the first degree_bound+1 must lie on the
     resulting polynomial, otherwise ConsistencyError is raised.
     """

@@ -151,17 +151,20 @@ def _theorem_domain(family: str, m: int, n_max: int) -> range:
     return range(1, n_max + 1)
 
 
+def _mismatch(family: str, m: int, n: int, lhs: Fraction, rhs: Fraction) -> Optional[dict]:
+    """The verdict on lhs == rhs for (family, m, n): None, or the witness."""
+    if lhs == rhs:
+        return None
+    return {"family": family, "m": m, "n": n, "lhs": str(lhs), "rhs": str(rhs)}
+
+
 @_first_witness
 def check_oracle_vs_theorem(config: VerifyConfig) -> Verdicts:
     for family in config.families:
         for m in range(0, config.m_max + 1):
             for n in _theorem_domain(family, m, config.n_max):
                 q = MomentQuery(family, m, n)
-                lhs = moments.closed_form(q).value
-                rhs = oracle(q)
-                yield None if lhs == rhs else {
-                    "family": family, "m": m, "n": n, "lhs": str(lhs), "rhs": str(rhs)
-                }
+                yield _mismatch(family, m, n, moments.closed_form(q).value, oracle(q))
 
 
 @_first_witness
@@ -170,11 +173,7 @@ def check_oracle_vs_corollary(config: VerifyConfig) -> Verdicts:
         if family not in config.families:
             continue
         for n in range(entry.min_n, config.n_max + 1):
-            lhs = entry.value(n)
-            rhs = oracle(MomentQuery(family, m, n))
-            yield None if lhs == rhs else {
-                "family": family, "m": m, "n": n, "lhs": str(lhs), "rhs": str(rhs)
-            }
+            yield _mismatch(family, m, n, entry.value(n), oracle(MomentQuery(family, m, n)))
 
 
 @_first_witness
@@ -358,10 +357,7 @@ def check_warmup_forms(config: VerifyConfig) -> Verdicts:
                 ("C", 0, bracket(2 * n, n) / 2 + Fraction((-1) ** n, 4 * n - 2))
             )
         for family, m, expected in targets:
-            got = oracle(MomentQuery(family, m, n))
-            yield None if got == expected else {
-                "family": family, "m": m, "n": n, "lhs": str(expected), "rhs": str(got)
-            }
+            yield _mismatch(family, m, n, expected, oracle(MomentQuery(family, m, n)))
 
 
 # ---------------------------------------------------------------------------

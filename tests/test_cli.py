@@ -340,6 +340,10 @@ class TestDiscover:
     def test_usage(self, capsys):
         assert run(capsys, "discover", "A", "sideways", "1")[0] == 2
         assert run(capsys, "discover", "A", "even", "-1")[0] == 2
+        # the search flags bound the even-D catalogue; before, a fit path ignored them
+        code, _, err = run(capsys, "discover", "D", "odd", "1", "--max-roots", "1")
+        assert code == 2
+        assert err == "error: --max-degree and --max-roots bound only discover D even\n"
 
 
 class TestTable:
@@ -438,6 +442,9 @@ ERROR_PATHS = [
     (["discover", "D", "even", "1", "--holdout", "-1"], 2),  # removed option
     (["discover", "A", "even", "1", "--holdout", "3"], 2),  # removed option
     (["discover", "A", "even", "1", "--out", MISSING], 2),
+    (["discover", "A", "even", "3", "--max-degree", "2"], 2),  # a search flag on a fit path
+    (["discover", "A", "even", "3", "--max-degree", "-5"], 2),
+    (["discover", "D", "even", "0", "--max-degree", "-5"], 2),  # a negative search bound
     (["discover", "A", "even", "1", "--n-start", "3"], 2),  # removed option
     (["table", "--families", "Q"], 2),
     (["table", "--families", ","], 2),

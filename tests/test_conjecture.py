@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomial_moments import conjecture
+from binomial_moments import conjecture, moments
 from binomial_moments.conjecture import (
     Ansatz,
     AnsatzTerm,
@@ -471,6 +471,16 @@ class TestExploreDEven:
         cands = explore_D_even(0, zero)
         assert len(cands) == 8
         assert all(c.status == "refuted" for c in cands)
+
+    def test_catalogue_does_not_follow_the_prefactor_vocabulary(self, monkeypatch):
+        """A prefactor added to ``moments`` leaves the catalogue's shapes alone."""
+        before = search_catalogue(SearchConfig())
+        monkeypatch.setitem(moments._PREFACTOR, "extra", (lambda n, c: (n, 1), "n", "n"))
+        for module in (moments, conjecture):
+            if hasattr(module, "PREFACTORS"):
+                monkeypatch.setattr(module, "PREFACTORS", tuple(moments._PREFACTOR))
+        assert AnsatzTerm("extra", 0).describe() == "n * poly(deg<=0)"
+        assert search_catalogue(SearchConfig()) == before
 
     @pytest.mark.parametrize("bounds", [(-1, 0), (0, -1)])
     def test_negative_bounds_are_refused(self, bounds):

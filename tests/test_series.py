@@ -268,6 +268,19 @@ class TestPolynomial:
         assert Polynomial().is_zero()
         assert Polynomial([3]).degree == 0
 
+    @pytest.mark.parametrize(
+        "coeffs, text",
+        [
+            ((0,), "0"),
+            ((3,), "3"),
+            ((0, 0, 1), "1*y^2"),
+            ((1, 0, F(-1, 2)), "1 + -1/2*y^2"),
+            ((F(2, 3), 1), "2/3 + 1*y"),
+        ],
+    )
+    def test_str(self, coeffs, text):
+        assert str(Polynomial(coeffs)) == text
+
     def test_arithmetic_and_eval(self):
         p = Polynomial([1, 2]) * Polynomial([-1, 1])  # (1+2y)(y-1) = -1 - y + 2y^2
         assert p == Polynomial([-1, -1, 2])
