@@ -55,8 +55,8 @@ def _parse_subset(what: str, names: list[str], universe: tuple[str, ...]) -> tup
 
 
 def _parse_families(text: str) -> tuple[str, ...]:
-    """``--families`` is one letter per family; commas and blanks by them are ignored."""
-    letters = [f for chunk in text.upper().split(",") for f in chunk.strip()]
+    """``--families`` is one letter per family; commas and blanks anywhere are ignored."""
+    letters = [f for f in text.upper() if f != "," and not f.isspace()]
     return _parse_subset("families", letters, FAMILIES)
 
 

@@ -315,8 +315,18 @@ def printed_forms() -> list[PrintedForm]:
 
 @dataclass(frozen=True)
 class RediscoveryEntry:
+    """A printed formula and the candidate refitted for it."""
+
     printed: PrintedForm
     candidate: ClosedFormCandidate
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.printed, PrintedForm):
+            raise DomainError(f"RediscoveryEntry needs a PrintedForm, got {self.printed!r}")
+        if not isinstance(self.candidate, ClosedFormCandidate):
+            raise DomainError(
+                f"RediscoveryEntry needs a ClosedFormCandidate, got {self.candidate!r}"
+            )
 
     @property
     def ok(self) -> bool:
@@ -340,7 +350,17 @@ class RediscoveryEntry:
 
 @dataclass
 class RediscoveryReport:
+    """One RediscoveryEntry per printed formula."""
+
     entries: list[RediscoveryEntry] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.entries, list) or not all(
+            isinstance(e, RediscoveryEntry) for e in self.entries
+        ):
+            raise DomainError(
+                f"RediscoveryReport needs a list of RediscoveryEntry, got {self.entries!r}"
+            )
 
     @property
     def all_ok(self) -> bool:
@@ -358,11 +378,9 @@ class RediscoveryReport:
 
 def rediscover_all() -> RediscoveryReport:
     """Refit every printed formula from oracle data; compare coefficients."""
-    report = RediscoveryReport()
-    for pf in printed_forms():
-        cand = fit(pf.family, pf.power, pf.ansatz)
-        report.entries.append(RediscoveryEntry(pf, cand))
-    return report
+    return RediscoveryReport(
+        [RediscoveryEntry(pf, fit(pf.family, pf.power, pf.ansatz)) for pf in printed_forms()]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -93,27 +93,50 @@ class EvalResult:
     validity_note: Optional[str] = None
 
 
+# Where oracle starts to split, by weight kind, and the most terms a leaf
+# walks.  Median time of the split over the whole walk, interleaved, over
+# m in {1, 2, 8, 9, 12} (2-core VM, Python 3.11): C and D 0.94-0.96x at
+# n = 48, 0.89-0.90x at 64 and 0.54x at 200; A and B 1.05-1.12x at n = 512,
+# 0.97-0.98x at 768, 0.87-0.88x at 1024 and 0.71-0.76x at 2048.  The
+# tables and verify stay at n <= 60, on the walk.
+_SPLIT_FROM_AB = 1024
+_SPLIT_FROM_CD = 64
+_LEAF = 32
+
+
 # Above the 4080 cells of an m <= 16, n <= 60 table (flagship verify: 1189).
 @lru_cache(maxsize=8192)
 def oracle(q: MomentQuery) -> Fraction:
     """Evaluate the defining sum directly with exact arithmetic.
 
-    The sum runs in ``int`` over one common denominator den and builds a
-    single Fraction at the end.  The weights w_k (the binomial or bracket
-    times den) are walked from k = n down to k = 1, one exact int step
-    each, instead of being built from scratch per term:
+    The weights w_k (the binomial or bracket times a denominator den) are
+    walked from k = n down to k = 1, one exact int step each, instead of
+    being built from scratch per term.  The step is w_{k-1} = w_k r_k with
 
-    * A and B: den = 1 and w_k = C(2n, n-k), so w_n = 1 and
-      w_{k-1} = w_k (n+k) / (n-k+1).
-    * C and D: den = (2n-1)!! and w_k = den [2n, n-k].  With
-      (1/2)_j = (2j-1)!! / 2^j, [2n, n-k] = (4n-1)!! / ((2n-2k-1)!! (2n+2k-1)!!),
-      so w_k = prod_{i<k} (2n-1-2i) * prod_{odd j=2n+2k+1}^{4n-1} j, an
-      integer; w_n = den and w_{k-1} = w_k (2n+2k-1) / (2n-2k+1).
+    * A and B: r_k = (n+k) / (n-k+1), from w_n = C(2n, 0) = 1;
+    * C and D: r_k = (2n+2k-1) / (2n-2k+1), from w_n = den [2n, 0] = den.
+      With (1/2)_j = (2j-1)!! / 2^j,
+      [2n, n-k] = (4n-1)!! / ((2n-2k-1)!! (2n+2k-1)!!), so for
+      den = (2n-1)!! every w_k = prod_{i<k} (2n-1-2i) * prod_{odd j=2n+2k+1}^{4n-1} j
+      is an integer.
 
-    Every w_k is an int and w_k times the step's numerator is w_{k-1}
-    times its denominator, so every floor division is exact.  The oracle
-    reads nothing from ``exact``: the theorem route it is checked against
-    builds its brackets there.
+    Below n = 1024 for A and B and n = 64 for C and D the sum is one walk
+    (``_walk``) over den = 1 or (2n-1)!!, and one Fraction at the end.
+    From there on it is summed by binary splitting over k (``_split``;
+    Haible and Papanikolaou, ANTS-III, 1998): each run of k returns
+    (P, Q, T), the products of its steps' numerators and denominators and
+    its partial sum scaled by Q, and two runs merge in a few products of
+    numbers about as long as the run, so most products stay small where the
+    walk multiplies every term at full size.  The walk is the split's leaf,
+    over at most ``_LEAF`` terms.  Over k = 1..n, Q is n! for A and B, which
+    divides T exactly, and (2n-1)!! for C and D, the walk's own den.  The
+    thresholds are where the split was measured to beat the whole walk (see
+    the comment on ``_SPLIT_FROM_AB``): C and D weights carry den, so each
+    walked term is about n log n bits long, while A and B weights are 2n
+    bits and the split's T carries n! on top of them.
+
+    The oracle reads nothing from another module of the package: the
+    theorem route it is checked against builds its brackets in ``exact``.
 
     A non-MomentQuery raises DomainError, checked on cache misses only; an
     unhashable argument fails in the cache first, with TypeError.
@@ -123,16 +146,53 @@ def oracle(q: MomentQuery) -> Fraction:
     f, m, n = q.family, q.m, q.n
     ab = f in ("A", "B")
     alternating = f in ("B", "C")
-    den = 1 if ab else math.prod(range(1, 2 * n, 2))
-    w, total = den, 0
-    for k in range(n, 0, -1):
+    if n < (_SPLIT_FROM_AB if ab else _SPLIT_FROM_CD):
+        den = 1 if ab else math.prod(range(1, 2 * n, 2))
+        total, _ = _walk(ab, alternating, m, n, n, 1, den)
+    else:
+        _, den, total = _split(ab, alternating, m, n, n, 1)
+    return Fraction(total // den) if ab else Fraction(total, den)
+
+
+def _walk(
+    ab: bool, alternating: bool, m: int, n: int, hi: int, lo: int, w: int
+) -> tuple[int, int]:
+    """(the signed sum of w_k k^m over k = hi..lo, w_{lo-1}), from w_hi = w.
+
+    w must make every step exact: a den of the whole sum from k = n, or the
+    product of the run's own step denominators."""
+    total = 0
+    for k in range(hi, lo - 1, -1):
         term = w * k**m
         total += -term if alternating and k % 2 == 0 else term
         if ab:
             w = w * (n + k) // (n - k + 1)
         else:
             w = w * (2 * n + 2 * k - 1) // (2 * n - 2 * k + 1)
-    return Fraction(total, den)
+    return total, w
+
+
+def _split(
+    ab: bool, alternating: bool, m: int, n: int, hi: int, lo: int
+) -> tuple[int, int, int]:
+    """(P, Q, T) over k = hi..lo: P and Q the products of the steps'
+    numerators and denominators, T / Q the signed sum of
+    k^m prod_{k<j<=hi} r_j.
+
+    A leaf walks from w = Q, so each step is exact and the walk ends at
+    w = P.  Two runs, hi..mid and mid-1..lo, merge as
+    (P1 P2, Q1 Q2, T1 Q2 + P1 T2)."""
+    if hi - lo < _LEAF:
+        if ab:
+            den = math.prod(range(n - hi + 1, n - lo + 2))
+        else:
+            den = math.prod(range(2 * n - 2 * hi + 1, 2 * n - 2 * lo + 2, 2))
+        total, num = _walk(ab, alternating, m, n, hi, lo, den)
+        return num, den, total
+    mid = (hi + lo + 1) // 2
+    p1, q1, t1 = _split(ab, alternating, m, n, hi, mid)
+    p2, q2, t2 = _split(ab, alternating, m, n, mid - 1, lo)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +307,20 @@ def even_moment_b(t: int, n: int) -> Fraction:
 def odd_moment_b(t: int, n: int) -> Fraction:
     """B_{2t+1}(n) = sum_l (-1)^l falling(2n,2l) C(2n-2l-2, n-l-1) sigma_{t,l}(n).
 
-    Every term is an int, and the terms with l >= n vanish.
+    Every term is an int, and the terms with l >= n vanish.  The central
+    binomials C(2k, k), k = n-l-1, come from one ``math.comb`` at k = n-1,
+    then one exact int step down the diagonal per l, as in
+    ``_diagonal_brackets``: C(2k-2, k-1) = C(2k, k) k / (2(2k-1)).
     """
     _check_half_exponent("odd_moment_b", t, n)
     row, _ = sigma_row_ints(t, n)
     total = 0
+    central = math.comb(2 * n - 2, n - 1)  # C(2k, k) at k = n - 1
     for ell in range(min(t, n - 1) + 1):
         k = n - ell - 1
-        term = math.perm(2 * n, 2 * ell) * math.comb(2 * k, k) * row[ell]
+        term = math.perm(2 * n, 2 * ell) * central * row[ell]
         total += -term if ell % 2 else term
+        central = central * k // (4 * k - 2)  # 0 after k = 0, the last l
     return Fraction(total)
 
 
