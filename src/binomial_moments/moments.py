@@ -320,7 +320,7 @@ def odd_moment_b(t: int, n: int) -> Fraction:
         k = n - ell - 1
         term = math.perm(2 * n, 2 * ell) * central * row[ell]
         total += -term if ell % 2 else term
-        central = central * k // (4 * k - 2)  # 0 after k = 0, the last l
+        central = central * k // (4 * k - 2)  # at k = 0, the last l, 0 and unused
     return Fraction(total)
 
 

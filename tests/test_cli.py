@@ -70,6 +70,18 @@ class TestEval:
         assert sys.get_int_max_str_digits() == limit
 
 
+# --families spellings: one letter per family, any case, with commas and
+# blanks anywhere ("A B" exited 2 with "unknown families: [' ']").
+FAMILY_SPELLINGS = [
+    ("B", "B"),
+    ("A,C", "AC"),
+    ("ca", "AC"),
+    ("A B", "AB"),
+    (" a , c ", "AC"),
+    ("A,\tB D", "ABD"),
+]
+
+
 class TestVerify:
     def test_small_run_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--m-max", "3", "--n-max", "6", "--seed", "1")
@@ -95,6 +107,12 @@ class TestVerify:
         assert "variant-evidence-c-odd-sigma-argument" not in names
         corr = next(c for c in report["checks"] if c["name"] == "oracle-vs-corollary-table")
         assert corr["cases"] > 0  # includes the chi(n=1) line at m=2
+
+    @pytest.mark.parametrize("spelling, families", FAMILY_SPELLINGS)
+    def test_family_spellings(self, capsys, spelling, families):
+        code, out, _ = run(capsys, "verify", "--families", spelling, "--m-max", "1", "--n-max", "2")
+        assert code == 0
+        assert json.loads(out)["config"]["families"] == list(families)
 
     def test_deterministic_output(self, capsys):
         args = ("verify", "--m-max", "2", "--n-max", "5", "--seed", "9")
@@ -357,6 +375,14 @@ class TestTable:
         # all three methods exist for A at m = 1..4 (m = 0 has no closed form)
         assert len(lines) == 1 + 4 * 6
         assert "A,2,3,48" in lines
+
+    @pytest.mark.parametrize("spelling, families", FAMILY_SPELLINGS)
+    def test_family_spellings(self, capsys, spelling, families):
+        args = ("table", "--families", spelling, "--m-max", "1", "--n-max", "3", "--format", "csv")
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        listed = [line.split(",")[0] for line in out.splitlines()[1:]]
+        assert "".join(dict.fromkeys(listed)) == families
 
     def test_json_records(self, capsys):
         code, out, _ = run(

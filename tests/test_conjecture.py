@@ -8,6 +8,8 @@ from binomial_moments import conjecture, moments
 from binomial_moments.conjecture import (
     Ansatz,
     AnsatzTerm,
+    RediscoveryEntry,
+    RediscoveryReport,
     SearchConfig,
     explore_D_even,
     fit,
@@ -21,6 +23,11 @@ from binomial_moments.errors import DomainError, Inconsistent, SingularSystem
 from binomial_moments.moments import PREFACTORS, MomentQuery, family_ansatz, oracle
 
 F = Fraction
+
+
+# A well-formed record: the printed A_0 and its refit.
+_A0 = moments.COROLLARIES[("A", 0)]
+ENTRY = RediscoveryEntry(_A0, fit("A", 0, _A0.ansatz))
 
 
 class TestSolveExact:
@@ -434,6 +441,19 @@ class TestInputDomain:
             pytest.param(lambda: family_ansatz("A", "even", 1.0), id="ansatz-t-float"),
             pytest.param(lambda: family_ansatz("B", "odd", Fraction(1)), id="ansatz-t-fraction"),
             pytest.param(lambda: family_ansatz("C", "even", "2"), id="ansatz-t-str"),
+            # before, a malformed record failed only when read: TypeError from
+            # all_ok on an int, AttributeError from ok and to_dict on ints
+            pytest.param(lambda: RediscoveryReport(3).all_ok, id="report-int-all_ok"),
+            pytest.param(lambda: RediscoveryReport(None).to_dict(), id="report-none-to_dict"),
+            pytest.param(lambda: RediscoveryReport([1]).all_ok, id="report-int-entry-all_ok"),
+            pytest.param(lambda: RediscoveryReport((ENTRY,)).to_dict(), id="report-tuple"),
+            pytest.param(lambda: RediscoveryEntry(1, 2).ok, id="entry-ints-ok"),
+            pytest.param(lambda: RediscoveryEntry(1, 2).to_dict(), id="entry-ints-to_dict"),
+            pytest.param(lambda: RediscoveryEntry(ENTRY.printed, None).ok, id="entry-no-candidate"),
+            pytest.param(
+                lambda: RediscoveryEntry(ENTRY.candidate, ENTRY.candidate).to_dict(),
+                id="entry-candidate-as-printed",
+            ),
         ],
     )
     def test_entry_points_refuse_with_domain_error(self, call):
@@ -456,6 +476,12 @@ class TestRediscovery:
             assert len(disjoint) >= 10, e.printed.label
         assert report.all_ok
         assert not report.failures()
+
+    def test_well_formed_records_read_as_before(self):
+        assert ENTRY.ok and ENTRY.to_dict()["coefficients_match_printed"] is True
+        report = RediscoveryReport([ENTRY])
+        assert report.all_ok and report.to_dict()["entries"] == [ENTRY.to_dict()]
+        assert RediscoveryReport().to_dict() == {"all_ok": True, "entries": []}
 
     def test_labels_cover_all_families(self):
         labels = {pf.label for pf in printed_forms()}

@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -39,7 +40,7 @@ from binomial_moments.moments import (
     odd_moment_d,
     oracle,
 )
-from binomial_moments.sigma import sigma_series
+from binomial_moments.sigma import sigma_row_ints, sigma_series
 from binomial_moments.verify import VerifyConfig, check_lambda_identity, check_lemma_residuals
 
 F = Fraction
@@ -85,6 +86,26 @@ class TestQueryValidation:
             oracle(["A", 2, 3])
 
 
+def split_from(family):
+    """The least n at which the oracle sums ``family`` by binary splitting."""
+    return moments._SPLIT_FROM_AB if family in "AB" else moments._SPLIT_FROM_CD
+
+
+def whole_walk(family, m, n):
+    """The defining sum as one walk of exact int steps from k = n down to 1."""
+    ab = family in "AB"
+    den = 1 if ab else math.prod(range(1, 2 * n, 2))
+    w, total = den, 0
+    for k in range(n, 0, -1):
+        term = w * k**m
+        total += -term if family in "BC" and k % 2 == 0 else term
+        if ab:
+            w = w * (n + k) // (n - k + 1)
+        else:
+            w = w * (2 * n + 2 * k - 1) // (2 * n - 2 * k + 1)
+    return Fraction(total, den)
+
+
 class TestOracle:
     def test_known_values(self):
         assert oracle(MomentQuery("A", 1, 2)) == 6
@@ -127,16 +148,50 @@ class TestOracle:
         assert type(got) is Fraction and got == Fraction(total, den)
 
     def test_reads_no_bracket(self, monkeypatch):
-        # the oracle-vs-theorem check compares two separate implementations
-        queries = [MomentQuery(family, 5, 12) for family in "ABCD"]
+        # the oracle-vs-theorem check compares two separate implementations,
+        # below and above the size where the oracle starts to split
+        queries = [
+            MomentQuery(family, 5, n) for family in "ABCD" for n in (12, split_from(family) + 1)
+        ]
         expected = [closed_form(q).value for q in queries]
+        imported = [
+            name
+            for name, obj in vars(moments).items()
+            if callable(obj)
+            and not inspect.isclass(obj)
+            and getattr(obj, "__module__", "").startswith("binomial_moments.")
+            and obj.__module__ != moments.__name__
+        ]
+        assert {"bracket", "binomial", "sigma_row_ints", "require_ints", "_poly_text"} <= set(
+            imported
+        )
 
-        def refuse(*args):
-            raise AssertionError("the oracle read bracket")
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called another module of the package")
 
-        monkeypatch.setattr("binomial_moments.moments.bracket", refuse)
+        for name in imported:
+            monkeypatch.setattr(moments, name, refuse)
         monkeypatch.setattr("binomial_moments.exact.bracket", refuse)
         assert [oracle.__wrapped__(q) for q in queries] == expected
+
+    @pytest.mark.parametrize(
+        "family, n",
+        [
+            (family, c * split_from(family) + d)
+            for family in "ABCD"
+            for c in (1, 2, 4)
+            for d in (-1, 0, 1)
+        ]
+        + [(family, 3000) for family in "ABCD"],
+    )
+    def test_split_matches_the_whole_walk(self, monkeypatch, family, n):
+        splits = []
+        split = moments._split
+        monkeypatch.setattr(moments, "_split", lambda *args: splits.append(args) or split(*args))
+        for m in (0, 1, 2, 9, 12):
+            got = oracle.__wrapped__(MomentQuery(family, m, n))
+            assert type(got) is Fraction and got == whole_walk(family, m, n), m
+        assert bool(splits) == (n >= split_from(family))
 
     def test_double_factorial_clears_every_bracket(self):
         # the common denominator the C/D oracle sums over
@@ -554,6 +609,17 @@ class TestDiagonalBrackets:
                 for ell, (num, den) in enumerate(ladder):
                     expected = moments._bracket_ints(2 * n - 2 * ell, n - ell)
                     assert Fraction(num, den) == Fraction(*expected), (t, n, ell)
+
+    @given(t=st.integers(0, 12), n=st.integers(1, 300))
+    @settings(max_examples=100, deadline=None)
+    def test_odd_b_ladder_matches_a_comb_per_term(self, t, n):
+        row, _ = sigma_row_ints(t, n)
+        total = 0
+        for ell in range(min(t, n - 1) + 1):
+            k = n - ell - 1
+            term = math.perm(2 * n, 2 * ell) * math.comb(2 * k, k) * row[ell]
+            total += -term if ell % 2 else term
+        assert odd_moment_b(t, n) == total
 
 
 class TestIntClosedForms:
