@@ -56,14 +56,9 @@ from .moments import (
     PrintedForm,
     _int_roots,
     _odd_roots,
+    _over_lcm,
     oracle,
 )
-
-
-def _over_lcm(coefficients: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The coefficients as int numerators over their lcm, as ``Ansatz.value`` takes them."""
-    scale = math.lcm(*[c.denominator for c in coefficients])
-    return [c.numerator * (scale // c.denominator) for c in coefficients], scale
 
 
 @dataclass(frozen=True)

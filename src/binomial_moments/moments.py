@@ -93,14 +93,14 @@ class EvalResult:
     validity_note: Optional[str] = None
 
 
-# Where oracle starts to split, by weight kind, and the most terms a leaf
-# walks.  Median time of the split over the whole walk, interleaved, over
-# m in {1, 2, 8, 9, 12} (2-core VM, Python 3.11): C and D 0.94-0.96x at
-# n = 48, 0.89-0.90x at 64 and 0.54x at 200; A and B 1.05-1.12x at n = 512,
-# 0.97-0.98x at 768, 0.87-0.88x at 1024 and 0.71-0.76x at 2048.  The
-# tables and verify stay at n <= 60, on the walk.
+# Where oracle starts to split A and B, and the most terms a leaf walks.
+# Median time of the split over the whole walk, interleaved, over m in
+# {1, 2, 8, 9, 12} (2-core VM, Python 3.11): 1.05-1.12x at n = 512,
+# 0.97-0.98x at 768, 0.87-0.88x at 1024 and 0.71-0.76x at 2048, and 1.28x
+# over m <= 16, n <= 60, where the tables and verify stay.  C and D split
+# at every n: below _LEAF terms the split is one leaf over the walk's own
+# den, and from n = 33 on it was measured faster (0.93x at n = 48).
 _SPLIT_FROM_AB = 1024
-_SPLIT_FROM_CD = 64
 _LEAF = 32
 
 
@@ -110,30 +110,26 @@ def oracle(q: MomentQuery) -> Fraction:
     """Evaluate the defining sum directly with exact arithmetic.
 
     The weights w_k (the binomial or bracket times a denominator den) are
-    walked from k = n down to k = 1, one exact int step each, instead of
-    being built from scratch per term.  The step is w_{k-1} = w_k r_k with
+    stepped from k = n down to k = 1 by one rule, w_{k-1} = w_k r_k with
 
-    * A and B: r_k = (n+k) / (n-k+1), from w_n = C(2n, 0) = 1;
-    * C and D: r_k = (2n+2k-1) / (2n-2k+1), from w_n = den [2n, 0] = den.
-      With (1/2)_j = (2j-1)!! / 2^j,
-      [2n, n-k] = (4n-1)!! / ((2n-2k-1)!! (2n+2k-1)!!), so for
-      den = (2n-1)!! every w_k = prod_{i<k} (2n-1-2i) * prod_{odd j=2n+2k+1}^{4n-1} j
-      is an integer.
+        r_k = (s(n+k) - s + 1) / (s(n-k) + 1),
 
-    Below n = 1024 for A and B and n = 64 for C and D the sum is one walk
-    (``_walk``) over den = 1 or (2n-1)!!, and one Fraction at the end.
-    From there on it is summed by binary splitting over k (``_split``;
-    Haible and Papanikolaou, ANTS-III, 1998): each run of k returns
-    (P, Q, T), the products of its steps' numerators and denominators and
-    its partial sum scaled by Q, and two runs merge in a few products of
-    numbers about as long as the run, so most products stay small where the
-    walk multiplies every term at full size.  The walk is the split's leaf,
-    over at most ``_LEAF`` terms.  Over k = 1..n, Q is n! for A and B, which
-    divides T exactly, and (2n-1)!! for C and D, the walk's own den.  The
-    thresholds are where the split was measured to beat the whole walk (see
-    the comment on ``_SPLIT_FROM_AB``): C and D weights carry den, so each
-    walked term is about n log n bits long, while A and B weights are 2n
-    bits and the split's T carries n! on top of them.
+    s = 1 for A and B (w_k = C(2n, n-k) from w_n = 1) and s = 2 for C and D
+    (w_k = den [2n, n-k] from w_n = den).  With (1/2)_j = (2j-1)!! / 2^j,
+    [2n, n-k] = (4n-1)!! / ((2n-2k-1)!! (2n+2k-1)!!), so the product of the
+    steps' denominators over k = 1..n, den = (2n-1)!!, makes every C and D
+    weight an integer; for A and B it is n!.
+
+    The sum is taken by binary splitting over k (``_split``; Haible and
+    Papanikolaou, ANTS-III, 1998): each run of k returns (P, Q, T), the
+    products of its steps' numerators and denominators and its partial sum
+    scaled by Q, and two runs merge in a few products of numbers about as
+    long as the run, so most products stay small where a whole walk
+    multiplies every term at full size.  A leaf walks at most ``_LEAF``
+    terms (``_walk``) from w = Q.  C and D split at every n; A and B are
+    one walk from w = 1 below n = 1024 (``_SPLIT_FROM_AB``), because their
+    weights are only 2n bits long and the split's T carries n! on top of
+    them.  The value is T / Q, an exact int quotient for A and B.
 
     The oracle reads nothing from another module of the package: the
     theorem route it is checked against builds its brackets in ``exact``.
@@ -144,55 +140,49 @@ def oracle(q: MomentQuery) -> Fraction:
     if not isinstance(q, MomentQuery):
         raise DomainError(f"oracle needs a MomentQuery, got {q!r}")
     f, m, n = q.family, q.m, q.n
-    ab = f in ("A", "B")
+    s = 1 if f in ("A", "B") else 2
     alternating = f in ("B", "C")
-    if n < (_SPLIT_FROM_AB if ab else _SPLIT_FROM_CD):
-        den = 1 if ab else math.prod(range(1, 2 * n, 2))
-        total, _ = _walk(ab, alternating, m, n, n, 1, den)
-    else:
-        _, den, total = _split(ab, alternating, m, n, n, 1)
-    return Fraction(total // den) if ab else Fraction(total, den)
+    if s == 1 and n < _SPLIT_FROM_AB:
+        return Fraction(_walk(s, alternating, m, n, n, 1, 1)[0])
+    _, den, total = _split(s, alternating, m, n, n, 1)
+    return Fraction(total // den) if s == 1 else Fraction(total, den)
 
 
-def _walk(
-    ab: bool, alternating: bool, m: int, n: int, hi: int, lo: int, w: int
-) -> tuple[int, int]:
+def _walk(s: int, alternating: bool, m: int, n: int, hi: int, lo: int, w: int) -> tuple[int, int]:
     """(the signed sum of w_k k^m over k = hi..lo, w_{lo-1}), from w_hi = w.
 
     w must make every step exact: a den of the whole sum from k = n, or the
     product of the run's own step denominators."""
     total = 0
+    a, b = s * (n + hi) - s + 1, s * (n - hi) + 1
     for k in range(hi, lo - 1, -1):
         term = w * k**m
         total += -term if alternating and k % 2 == 0 else term
-        if ab:
-            w = w * (n + k) // (n - k + 1)
-        else:
-            w = w * (2 * n + 2 * k - 1) // (2 * n - 2 * k + 1)
+        w = w * a // b
+        a -= s
+        b += s
     return total, w
 
 
 def _split(
-    ab: bool, alternating: bool, m: int, n: int, hi: int, lo: int
-) -> tuple[int, int, int]:
+    s: int, alternating: bool, m: int, n: int, hi: int, lo: int
+) -> tuple[Optional[int], int, int]:
     """(P, Q, T) over k = hi..lo: P and Q the products of the steps'
     numerators and denominators, T / Q the signed sum of
     k^m prod_{k<j<=hi} r_j.
 
     A leaf walks from w = Q, so each step is exact and the walk ends at
     w = P.  Two runs, hi..mid and mid-1..lo, merge as
-    (P1 P2, Q1 Q2, T1 Q2 + P1 T2)."""
+    (P1 P2, Q1 Q2, T1 Q2 + P1 T2), so P2 is read only to build P.  A run
+    down to lo = 1 is never a higher half, and its P is None."""
     if hi - lo < _LEAF:
-        if ab:
-            den = math.prod(range(n - hi + 1, n - lo + 2))
-        else:
-            den = math.prod(range(2 * n - 2 * hi + 1, 2 * n - 2 * lo + 2, 2))
-        total, num = _walk(ab, alternating, m, n, hi, lo, den)
-        return num, den, total
+        den = math.prod(range(s * (n - hi) + 1, s * (n - lo) + 2, s))
+        total, num = _walk(s, alternating, m, n, hi, lo, den)
+        return (num if lo > 1 else None), den, total
     mid = (hi + lo + 1) // 2
-    p1, q1, t1 = _split(ab, alternating, m, n, hi, mid)
-    p2, q2, t2 = _split(ab, alternating, m, n, mid - 1, lo)
-    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+    p1, q1, t1 = _split(s, alternating, m, n, hi, mid)
+    p2, q2, t2 = _split(s, alternating, m, n, mid - 1, lo)
+    return (p1 * p2 if lo > 1 else None), q1 * q2, t1 * q2 + p1 * t2
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +688,12 @@ class Ansatz:
         return "  +  ".join(t.describe() for t in self.terms)
 
 
+def _over_lcm(coefficients: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """The coefficients as int numerators over their lcm, as ``Ansatz.value`` takes them."""
+    scale = math.lcm(*[c.denominator for c in coefficients])
+    return tuple(c.numerator * (scale // c.denominator) for c in coefficients), scale
+
+
 def _odd_roots(count: int, first: int) -> tuple[tuple[int, int], ...]:
     """((2, -first), (2, -first-2), ...) -- denominators (2n-first)(2n-first-2)..."""
     return tuple((2, -(first + 2 * i)) for i in range(count))
@@ -797,7 +793,7 @@ class PrintedForm:
     min_n: int = 1
     points: tuple[tuple[int, int], ...] = ()
 
-    # The numerators over the lcm of the denominators, as Ansatz.value takes them.
+    # The expected coefficients over their lcm (``_over_lcm``).
     _coeffs: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _scale: int = field(init=False, repr=False, compare=False)
 
@@ -811,10 +807,7 @@ class PrintedForm:
                     f"{self.label}: {term.describe()} needs {term.degree + 1} numerator "
                     f"coefficients and a positive denominator, got {num} / {den}"
                 )
-        scale = math.lcm(*self.denominators)
-        coeffs = tuple(
-            c * (scale // den) for num, den in zip(self.numerators, self.denominators) for c in num
-        )
+        coeffs, scale = _over_lcm(self.expected)
         object.__setattr__(self, "_coeffs", coeffs)
         object.__setattr__(self, "_scale", scale)
 

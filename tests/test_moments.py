@@ -88,7 +88,7 @@ class TestQueryValidation:
 
 def split_from(family):
     """The least n at which the oracle sums ``family`` by binary splitting."""
-    return moments._SPLIT_FROM_AB if family in "AB" else moments._SPLIT_FROM_CD
+    return 1024 if family in "AB" else 1
 
 
 def whole_walk(family, m, n):
@@ -149,9 +149,9 @@ class TestOracle:
 
     def test_reads_no_bracket(self, monkeypatch):
         # the oracle-vs-theorem check compares two separate implementations,
-        # below and above the size where the oracle starts to split
+        # below and above the size where A and B start to split
         queries = [
-            MomentQuery(family, 5, n) for family in "ABCD" for n in (12, split_from(family) + 1)
+            MomentQuery(family, 5, n) for family in "ABCD" for n in (12, split_from("A") + 1)
         ]
         expected = [closed_form(q).value for q in queries]
         imported = [
@@ -178,9 +178,15 @@ class TestOracle:
         "family, n",
         [
             (family, c * split_from(family) + d)
-            for family in "ABCD"
+            for family in "AB"
             for c in (1, 2, 4)
             for d in (-1, 0, 1)
+        ]
+        # one leaf up to 32 terms, then two, then deeper trees
+        + [
+            (family, n)
+            for family in "CD"
+            for n in (1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257)
         ]
         + [(family, 3000) for family in "ABCD"],
     )
@@ -192,6 +198,25 @@ class TestOracle:
             got = oracle.__wrapped__(MomentQuery(family, m, n))
             assert type(got) is Fraction and got == whole_walk(family, m, n), m
         assert bool(splits) == (n >= split_from(family))
+
+    @pytest.mark.parametrize("family", "ABCD")
+    @pytest.mark.parametrize("n, hi, lo", [(5, 5, 1), (40, 40, 1), (300, 300, 1), (300, 180, 3)])
+    def test_split_builds_no_unread_product(self, monkeypatch, family, n, hi, lo):
+        # a run down to k = 1 is never a higher half, so its P is never read
+        runs = {}
+        split = moments._split
+
+        def record(*args):
+            runs[args[-2:]] = out = split(*args)
+            return out
+
+        monkeypatch.setattr(moments, "_split", record)
+        s = 1 if family in "AB" else 2
+        record(s, family in "BC", 3, n, hi, lo)
+        assert (hi, lo) in runs
+        for (top, bottom), (p, _, _) in runs.items():
+            numerators = math.prod(range(s * (n + bottom) - s + 1, s * (n + top) - s + 2, s))
+            assert p == (None if bottom == 1 else numerators), (top, bottom)
 
     def test_double_factorial_clears_every_bracket(self):
         # the common denominator the C/D oracle sums over
