@@ -688,10 +688,10 @@ class Ansatz:
         return "  +  ".join(t.describe() for t in self.terms)
 
 
-def _over_lcm(coefficients: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+def _over_lcm(coefficients: Sequence[Fraction]) -> tuple[list[int], int]:
     """The coefficients as int numerators over their lcm, as ``Ansatz.value`` takes them."""
     scale = math.lcm(*[c.denominator for c in coefficients])
-    return tuple(c.numerator * (scale // c.denominator) for c in coefficients), scale
+    return [c.numerator * (scale // c.denominator) for c in coefficients], scale
 
 
 def _odd_roots(count: int, first: int) -> tuple[tuple[int, int], ...]:
@@ -808,7 +808,7 @@ class PrintedForm:
                     f"coefficients and a positive denominator, got {num} / {den}"
                 )
         coeffs, scale = _over_lcm(self.expected)
-        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "_coeffs", tuple(coeffs))
         object.__setattr__(self, "_scale", scale)
 
     @property
