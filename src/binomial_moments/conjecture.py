@@ -47,7 +47,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .errors import DomainError, Inconsistent, SingularSystem, require_ints, require_rationals
+from .errors import (
+    DomainError,
+    Inconsistent,
+    SingularSystem,
+    require_ints,
+    require_ordered,
+    require_rationals,
+)
 from .moments import (
     COROLLARIES,
     Ansatz,
@@ -180,13 +187,11 @@ def solve_exact(
     row's normalising gcd over its lcm scale, is the Schur complement
     that Gauss-Jordan left in that row.
     """
-    for name, v in (("matrix", matrix), ("rhs", rhs)):
-        if type(v) is not list and not isinstance(v, abc.Sequence):
-            raise DomainError(f"solve_exact: {name} must be a sequence, got {v!r}")
+    require_ordered("solve_exact", "matrix", matrix, abc.Sequence)
+    require_ordered("solve_exact", "rhs", rhs, abc.Sequence)
     rows, scales = [], []
     for row, b in zip(matrix, rhs):
-        if type(row) is not list and not isinstance(row, abc.Sequence):
-            raise DomainError(f"solve_exact: each matrix row must be a sequence, got {row!r}")
+        require_ordered("solve_exact", "each matrix row", row, abc.Sequence)
         vals = [*row, b]
         scale = 1
         if set(map(type, vals)) != {int}:

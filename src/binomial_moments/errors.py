@@ -4,6 +4,7 @@ Everything derives from MomentsError so callers (in particular the CLI)
 can distinguish domain failures from genuine bugs.
 """
 
+from collections import abc
 from fractions import Fraction
 
 
@@ -34,6 +35,27 @@ def require_rationals(where: str, **values: object) -> None:
     for name, v in values.items():
         if type(v) is not int and not isinstance(v, Fraction):
             raise DomainError(f"{where}: {name} must be an int or a Fraction, got {v!r}")
+
+
+# Iterables whose items do not come in the caller's order (a mapping yields
+# its keys, a set its members in hash order) or are characters or byte
+# values rather than numbers.
+_UNORDERED = (abc.Mapping, abc.Set, str, bytes, bytearray)
+
+
+def require_ordered(where: str, name: str, v: object, kind: type = abc.Iterable) -> None:
+    """Raise DomainError unless v is a ``kind`` (by default any iterable) that
+    is not a mapping, a set or frozenset, or a str, bytes or bytearray.
+
+    Lists, tuples, ranges and generators pass.
+    """
+    if type(v) is list or type(v) is tuple:
+        return
+    if not isinstance(v, kind) or isinstance(v, _UNORDERED):
+        raise DomainError(
+            f"{where}: {name} must be an ordered {kind.__name__.lower()}"
+            f" (not a mapping, set, str or bytes), got {v!r}"
+        )
 
 
 class NegativeIndexPole(DomainError):

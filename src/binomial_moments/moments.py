@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import abc
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -56,6 +57,7 @@ from .errors import (
     NotTabulated,
     PreconditionViolated,
     require_ints,
+    require_ordered,
     require_rationals,
 )
 from .exact import Scalar, binomial, bracket, falling
@@ -669,8 +671,7 @@ class Ansatz:
         nums run over the terms in order, each term's lowest degree first.
         The sum of nums[j] * ints[j] over ``basis_row(n)`` is taken in int.
         """
-        if type(nums) is not tuple and type(nums) is not list and not isinstance(nums, Sequence):
-            raise DomainError(f"Ansatz.value: coefficients must be a sequence, got {nums!r}")
+        require_ordered("Ansatz.value", "coefficients", nums, abc.Sequence)
         ints, row_den = self.basis_row(n)
         if len(nums) != len(ints) or set(map(type, nums)) != {int}:
             raise DomainError(f"Ansatz.value: needs {len(ints)} int coefficients, got {nums!r}")

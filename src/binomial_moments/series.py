@@ -2,45 +2,59 @@
 
 A TruncatedSeries is a formal power series in one variable T over the
 rationals, cut off at a fixed order M: only coefficients of T^0..T^M are
-stored and arithmetic never looks past index M.  Polynomials are dense
-coefficient lists (lowest degree first) in canonical form.  Both are
-immutable value objects.  ``_poly_text`` is the one plain-text printer
-of a coefficient list, in a variable it is given: ``str`` of a
-Polynomial writes it in y, and ``moments``' ansatz descriptions in n.
+stored and arithmetic never looks past index M.  A Polynomial is dense,
+lowest degree first.  Both are value objects.  ``_poly_text`` is the one
+plain-text printer of a coefficient list, in a variable it is given:
+``str`` of a Polynomial writes it in y, and ``moments``' ansatz
+descriptions in n.
 
 Every entry takes coefficients and arguments that are an int or a
 Fraction (orders, exponents and indices an int) and raises DomainError
 for anything else, bool, float and str included, so no binary value
-enters the arithmetic.  The type is tested first and ``require_*`` is
-called only to raise, which keeps the internal constructions cheap.
-The arithmetic operators likewise raise DomainError when the other
-operand, on either side, is not a series (a polynomial for
-``Polynomial``).
+enters the arithmetic.  Coefficient lists and interpolation points must
+come in order: a mapping, a set and str, bytes or bytearray are refused
+(``errors.require_ordered``).  The type is tested first and
+``require_*`` is called only to raise, which keeps the internal
+constructions cheap.  The arithmetic operators likewise raise DomainError
+when the other operand, on either side, is not a series (a polynomial
+for ``Polynomial``).
 
-A TruncatedSeries stores one int numerator per coefficient over one
-positive int denominator, ``nums`` over ``den``, with gcd(den, *nums) = 1.
+Both classes store one int numerator per coefficient over one positive
+int denominator, ``nums`` over ``den``, with gcd(den, *nums) = 1; a
+Polynomial also has no trailing zero numerator, and zero is (0,) over 1.
 This form is canonical: den * c_k is an int for every k, so the lcm L of
 the coefficients' denominators divides den, and den / L divides den and
-every numerator c_k * den, hence is 1; equal series therefore store
+every numerator c_k * den, hence is 1; equal values therefore store
 equal ints, and equality and hashing read them directly.  The
-arithmetic stays in int and divides out one gcd per result (Knuth, TAOCP
-Vol. 2, 4.5.1): ``+`` and ``-`` rescale to the lcm of the two
-denominators, ``scale`` multiplies in the scalar's numerator and
-denominator, ``series_mul`` convolves the numerators over the product of
-the denominators, ``geometric`` stores int powers and ``truncate``
-slices.  A Fraction is built only when a coefficient is read.
+arithmetic stays in int and divides out one gcd per result, in the one
+lowest-terms step ``_lowest`` (Knuth, TAOCP Vol. 2, 4.5.1): ``+`` and
+``-`` rescale to the lcm of the two denominators, ``scale`` multiplies
+in the scalar's numerator and denominator, products convolve the
+numerators over the product of the denominators, ``geometric`` stores
+int powers and ``truncate`` slices.  A Polynomial is evaluated at p/q
+by Horner's rule in int.  A Fraction is built only when a coefficient
+or a value is read.
+
 The convolution is the one int kernel, ``_convolve``, which takes plain
 int lists and checks nothing: ``series_mul`` calls it on the numerators
-of two checked series, and ``sigma`` calls it directly on int lists it
-has built, so both run the same truncated Cauchy product.
+of two checked series, ``Polynomial`` on its numerators zero-padded to
+the product's length, so the truncated product is the whole one, and
+``sigma`` calls it directly on int lists it has built, so all three run
+the same Cauchy product.
+
+``poly_interpolate`` runs Newton's divided differences fraction-free:
+with the nodes as ints over their lcm, each level of the table has one
+int denominator, the previous one times the lcm of that level's node
+gaps (k! at level k for consecutive integer nodes), and the Newton form
+is expanded by int Horner steps and reduced once.
 """
 
 from __future__ import annotations
 
 import math
-from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -50,6 +64,7 @@ from .errors import (
     IndexOutOfOrder,
     OrderMismatch,
     require_ints,
+    require_ordered,
     require_rationals,
 )
 from .exact import Scalar
@@ -64,24 +79,24 @@ def _rational(where: str, name: str, v: Scalar) -> Fraction:
     return Fraction(v)
 
 
-def _require_iterable(where: str, coeffs: object) -> None:
-    if type(coeffs) not in (list, tuple) and not isinstance(coeffs, abc.Iterable):
-        raise DomainError(f"{where}: coefficients must be iterable, got {coeffs!r}")
-
-
 def _require_operand(where: str, other: object, cls: type) -> None:
     if not isinstance(other, cls):
         raise DomainError(f"{where}: operand must be a {cls.__name__}, got {other!r}")
 
 
-def _series(order: int, nums: Iterable[int], den: int) -> "TruncatedSeries":
-    """The series sum_k nums[k] T^k / den, den > 0, brought to lowest terms."""
+def _lowest(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """nums over den > 0 with gcd(den, *nums) divided out: the one
+    lowest-terms step of ``TruncatedSeries`` and ``Polynomial``."""
     g = math.gcd(den, *nums)
     if g != 1:
-        den //= g
-        nums = [x // g for x in nums]
+        return tuple([x // g for x in nums]), den // g
+    return tuple(nums), den
+
+
+def _series(order: int, nums: list[int], den: int) -> "TruncatedSeries":
+    """The series sum_k nums[k] T^k / den, den > 0, brought to lowest terms."""
     s = object.__new__(TruncatedSeries)
-    s._store(order, tuple(nums), den)
+    s._store(order, *_lowest(nums, den))
     return s
 
 
@@ -102,7 +117,7 @@ class TruncatedSeries:
             require_ints("TruncatedSeries", order=order)
         cs = coeffs
         if type(cs) is not tuple or not all(type(c) is Fraction for c in cs):
-            _require_iterable("TruncatedSeries", cs)
+            require_ordered("TruncatedSeries", "coefficients", cs)
             cs = tuple(_rational("TruncatedSeries", "coefficient", c) for c in cs)
         if order < 0:
             raise DomainError(f"series order must be >= 0, got {order}")
@@ -131,7 +146,7 @@ class TruncatedSeries:
         """Build a series from a coefficient sequence, padding with zeros."""
         if type(order) is not int:
             require_ints("TruncatedSeries.from_coeffs", order=order)
-        _require_iterable("TruncatedSeries.from_coeffs", coeffs)
+        require_ordered("TruncatedSeries.from_coeffs", "coefficients", coeffs)
         cs = [_rational("TruncatedSeries.from_coeffs", "coefficient", c) for c in coeffs]
         if len(cs) > order + 1:
             cs = cs[: order + 1]
@@ -251,61 +266,84 @@ def geometric(c: Scalar, order: int) -> TruncatedSeries:
     return _series(order, [p**k * q ** (order - k) for k in range(order + 1)], q**order)
 
 
+def _polynomial(nums: list[int], den: int) -> "Polynomial":
+    """The polynomial sum_k nums[k] y^k / den, den > 0, in canonical form."""
+    p = object.__new__(Polynomial)
+    p._store(nums, den)
+    return p
+
+
 class Polynomial:
     """Univariate polynomial over the rationals, dense, lowest degree first.
 
-    Canonical form: no trailing zero coefficients except for the zero
-    polynomial, which is stored as the single coefficient 0.
+    Coefficient k is nums[k] / den in canonical form: den > 0,
+    gcd(den, *nums) = 1, no trailing zero numerator, and the zero
+    polynomial stored as (0,) over 1.  ``coeffs`` reads the coefficients
+    as Fractions.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Sequence[Scalar] = (0,)):
-        _require_iterable("Polynomial", coeffs)
+        require_ordered("Polynomial", "coefficients", coeffs)
         cs = [_rational("Polynomial", "coefficient", c) for c in coeffs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            cs = [Fraction(0)]
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        den = math.lcm(*[c.denominator for c in cs])
+        self._store([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _store(self, nums: list[int], den: int) -> None:
+        while len(nums) > 1 and not nums[-1]:
+            nums.pop()
+        self.nums, self.den = _lowest(nums or [0], den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of y^0..y^degree, one Fraction each."""
+        den = self.den
+        return tuple([Fraction(x, den) for x in self.nums])
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def leading(self) -> Fraction:
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def is_zero(self) -> bool:
-        return self.coeffs == (Fraction(0),)
+        return self.nums == (0,)
 
     def __call__(self, x: Scalar) -> Fraction:
+        """The value at x = p/q: Horner's rule in int on
+        sum_k nums[k] p^k q^(d-k), d the degree, over q^d den."""
         x = _rational("Polynomial", "x", x)
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        p, q = x.numerator, x.denominator
+        acc, qk = 0, 1
+        for c in reversed(self.nums):
+            acc = acc * p + c * qk
+            qk *= q
+        return Fraction(acc, qk // q * self.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return isinstance(other, Polynomial) and self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
+
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other over the lcm of the two denominators."""
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, sign * (den // other.den)
+        return _polynomial(
+            [x * sa + y * sb for x, y in zip_longest(self.nums, other.nums, fillvalue=0)], den
+        )
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         _require_operand("Polynomial.__add__", other, Polynomial)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         _require_operand("Polynomial.__sub__", other, Polynomial)
-        return self + other.scale(-1)
+        return self._plus(other, -1)
 
     def __radd__(self, other: "Polynomial") -> "Polynomial":
         _require_operand("Polynomial.__radd__", other, Polynomial)
@@ -318,20 +356,20 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        a, b = self.nums, other.nums
+        # Padded to the product's length, the truncated product is the whole one.
+        return _polynomial(
+            _convolve([*a, *[0] * (len(b) - 1)], [*b, *[0] * (len(a) - 1)]),
+            self.den * other.den,
+        )
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c: Scalar) -> "Polynomial":
         c = _rational("Polynomial.scale", "c", c)
-        return Polynomial([c * a for a in self.coeffs])
+        p = c.numerator
+        return _polynomial([p * x for x in self.nums], self.den * c.denominator)
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
@@ -357,20 +395,37 @@ def poly_interpolate(
 ) -> Polynomial:
     """Exact polynomial through the first degree_bound+1 points.
 
-    Uses Newton divided differences over the rationals.  All abscissae must be
-    distinct; any points beyond the first degree_bound+1 must lie on the
-    resulting polynomial, otherwise ConsistencyError is raised.
+    Uses Newton divided differences over the rationals, run in int.  All
+    abscissae must be distinct; any points beyond the first degree_bound+1
+    must lie on the resulting polynomial, otherwise ConsistencyError is
+    raised.
+
+    With the first d+1 nodes written x_i = X_i / s over their lcm s and the
+    values as ints over their lcm, the divided differences of level k
+    are c_i = s^k N_i / D_k: level k's numerators are
+    N_i = (N_i - N_(i-1)) * (L_k / (X_i - X_(i-k))) over the previous
+    level's, and D_k = D_(k-1) L_k, L_k the lcm of level k's node gaps.
+    So each level has one int denominator, and no gcd is taken; for the
+    consecutive integer nodes 0..d, D_k = k! times the values' lcm.  As
+    x - x_i = (z - X_i) / s with z = s x, the Newton form is Q(z) / D_d,
+    where Q = sum_k N_k (D_d / D_k) prod_(i<k) (z - X_i) is expanded by
+    Horner steps of the form nums * (z - X_i) in int.  Coefficient j of
+    the interpolant is Q_j s^j / D_d, brought to lowest terms once.
     """
     if type(degree_bound) is not int:
         require_ints("poly_interpolate", degree_bound=degree_bound)
     if degree_bound < 0:
         raise DomainError(f"degree bound must be >= 0, got {degree_bound}")
+    require_ordered("poly_interpolate", "points", points)
+    pts = []
     try:
-        pts = [
-            (_rational("poly_interpolate", "x", x), _rational("poly_interpolate", "y", y))
-            for x, y in points
-        ]
-    except (TypeError, ValueError):  # points not iterable, or a point not a pair
+        for pair in points:
+            require_ordered("poly_interpolate", "each point", pair)
+            x, y = pair
+            pts.append(
+                (_rational("poly_interpolate", "x", x), _rational("poly_interpolate", "y", y))
+            )
+    except (TypeError, ValueError):  # a point not a pair, or an iterator that fails
         raise DomainError(f"poly_interpolate needs (x, y) pairs, got {points!r}") from None
     seen = set()
     for x, _ in pts:
@@ -382,16 +437,26 @@ def poly_interpolate(
         raise DomainError(f"need at least {need} points for degree bound {degree_bound}")
 
     base = pts[:need]
-    xs = [x for x, _ in base]
-    # Newton divided-difference table, one diagonal at a time.
-    coefs = [y for _, y in base]
+    s = math.lcm(*[x.denominator for x, _ in base])
+    xs = [x.numerator * (s // x.denominator) for x, _ in base]
+    den = math.lcm(*[y.denominator for _, y in base])
+    # Newton divided-difference table, one diagonal at a time; nums[k]
+    # ends as N_k over dens[k] = D_k.
+    nums = [y.numerator * (den // y.denominator) for _, y in base]
+    dens = [den]
     for level in range(1, need):
+        gaps = [xs[i] - xs[i - level] for i in range(level, need)]
+        lk = math.lcm(*gaps)
         for i in range(need - 1, level - 1, -1):
-            coefs[i] = (coefs[i] - coefs[i - 1]) / (xs[i] - xs[i - level])
-    # Expand the Newton form into the monomial basis.
-    poly = Polynomial([coefs[-1]])
+            nums[i] = (nums[i] - nums[i - 1]) * (lk // gaps[i - level])
+        dens.append(dens[-1] * lk)
+    # Expand the Newton form into the monomial basis of z = s y.
+    top = dens[-1]
+    q = [nums[-1]]
     for i in range(need - 2, -1, -1):
-        poly = poly * Polynomial([-xs[i], 1]) + Polynomial([coefs[i]])
+        xi = xs[i]
+        q = [nums[i] * (top // dens[i]) - xi * q[0], *[a - xi * b for a, b in zip(q, q[1:])], q[-1]]
+    poly = _polynomial([c * s**j for j, c in enumerate(q)], top)
 
     for x, y in pts[need:]:
         got = poly(x)

@@ -174,7 +174,10 @@ def sigma_explicit(m: int, ell: int, y: Scalar) -> Fraction:
 def sigma_poly(m: int, ell: int) -> Polynomial:
     """sigma_{m,l} as a polynomial in y, of degree exactly 2(m-l).
 
-    Interpolated from sigma_series samples at y = 0, 1, ..., 2(m-l).
+    Interpolated from sigma_series samples at y = 0, 1, ..., 2(m-l), which
+    are ints.  On these consecutive nodes ``poly_interpolate``'s Newton
+    table has denominator k! at level k, so the interpolation runs in int
+    and the result comes out as int numerators over one denominator.
     """
     _check_args(m, ell)
     deg = 2 * (m - ell)

@@ -28,6 +28,7 @@ F = Fraction
 # A well-formed record: the printed A_0 and its refit.
 _A0 = moments.COROLLARIES[("A", 0)]
 ENTRY = RediscoveryEntry(_A0, fit("A", 0, _A0.ansatz))
+QUADRATIC = Ansatz((AnsatzTerm("unit", 2),))
 
 
 class TestSolveExact:
@@ -428,6 +429,24 @@ class TestInputDomain:
             pytest.param(lambda: solve_exact(iter([[1]]), [1]), id="solve-iterator-matrix"),
             pytest.param(lambda: solve_exact({0: [1]}, [1]), id="solve-dict-matrix"),
             pytest.param(lambda: solve_exact([{1}], [1]), id="solve-set-row"),
+            # before, bytes were read as their byte values: solve_exact gave
+            # [2] and Ansatz.value 680
+            pytest.param(lambda: solve_exact([b"\x02"], [4]), id="solve-bytes-row"),
+            pytest.param(lambda: solve_exact([bytearray(b"\x02")], [4]), id="solve-bytearray-row"),
+            pytest.param(lambda: solve_exact([[1]], b"\x04"), id="solve-bytes-rhs"),
+            pytest.param(lambda: solve_exact(b"\x02", [4]), id="solve-bytes-matrix"),
+            pytest.param(lambda: solve_exact(["2"], [4]), id="solve-str-row"),
+            pytest.param(lambda: solve_exact([[1]], "4"), id="solve-str-rhs"),
+            pytest.param(lambda: solve_exact([frozenset({1})], [1]), id="solve-frozenset-row"),
+            pytest.param(lambda: solve_exact([[1]], {4}), id="solve-set-rhs"),
+            pytest.param(lambda: solve_exact([{0: 1}], [1]), id="solve-dict-row"),
+            pytest.param(lambda: QUADRATIC.value(b"\x01\x02\x03", 3), id="value-bytes"),
+            pytest.param(
+                lambda: QUADRATIC.value(bytearray(b"\x01\x02\x03"), 3), id="value-bytearray"
+            ),
+            pytest.param(lambda: QUADRATIC.value("123", 3), id="value-str"),
+            pytest.param(lambda: QUADRATIC.value({0: 1, 1: 2, 2: 3}, 3), id="value-dict"),
+            pytest.param(lambda: QUADRATIC.value({1, 2, 3}, 3), id="value-set"),
             # before, the first four and D even at t = -1 returned None, two
             # returned an ansatz for t = -1 or True, the Fraction and str t
             # raised TypeError and only the float t a DomainError
@@ -459,6 +478,10 @@ class TestInputDomain:
     def test_entry_points_refuse_with_domain_error(self, call):
         with pytest.raises(DomainError):
             call()
+
+    def test_ordered_sequences_stay_accepted(self):
+        assert QUADRATIC.value(range(1, 4), 3) == QUADRATIC.value((1, 2, 3), 3) == 34
+        assert solve_exact((range(1, 3), (0, 2)), range(3, 5)) == [F(-1), F(2)]
 
     def test_root_with_zero_slope_is_refused_before_fitting(self):
         with pytest.raises(DomainError):

@@ -21,6 +21,7 @@ from binomial_moments.series import (
     poly_interpolate,
     series_mul,
 )
+from binomial_moments.sigma import sigma_poly, sigma_series
 
 F = Fraction
 
@@ -85,10 +86,20 @@ class TestSeriesArithmetic:
     def test_coefficient(self):
         assert geometric(F(7, 3), 5).coefficient(0) == 1
         assert geometric(2, 5).coefficient(3) == 8
+        assert geometric(2, 5).coefficient(5) == 32
         with pytest.raises(IndexOutOfOrder):
             geometric(2, 5).coefficient(6)
         with pytest.raises(IndexOutOfOrder):
             geometric(2, 5).coefficient(-1)
+
+    def test_monomial_examples(self):
+        assert TruncatedSeries.monomial(0, 0) == TruncatedSeries.constant(1, 0)
+        assert TruncatedSeries.monomial(0, 2) == S([1, 0, 0])
+        assert TruncatedSeries.monomial(2, 2) == S([0, 0, 1])
+        assert TruncatedSeries.monomial(3, 2) == S([0, 0, 0])
+        for k, order in [(-1, 2), (1, -1)]:
+            with pytest.raises(DomainError):
+                TruncatedSeries.monomial(k, order)
 
     @given(st.integers(0, 12).flatmap(lambda o: series_pair(o)))
     @settings(max_examples=80, deadline=None)
@@ -242,6 +253,12 @@ class TestStoredForm:
         assert geometric(F(-2, 3), 2) == S([1, F(-2, 3), F(4, 9)])
         assert (geometric(F(-2, 3), 2).nums, geometric(F(-2, 3), 2).den) == ((9, -6, 4), 9)
 
+    def test_constructor_needs_order_plus_one_coefficients(self):
+        with pytest.raises(DomainError, match="order 2 needs 3 coefficients, got 2"):
+            TruncatedSeries(2, (F(1), F(2)))
+        with pytest.raises(DomainError, match="order 0 needs 1 coefficients, got 2"):
+            TruncatedSeries(0, [1, 2])
+
     @pytest.mark.parametrize("attr", ["order", "nums", "den", "coeffs", "extra"])
     def test_assigning_an_attribute_raises(self, attr):
         s = S([F(1, 2), 3])
@@ -287,6 +304,186 @@ class TestPolynomial:
         assert p(F(3, 2)) == F(2)
         assert (p + Polynomial([1, 1])) == Polynomial([0, 0, 2])
         assert p.scale(2) == Polynomial([-2, -2, 4])
+
+
+# A Fraction reference for Polynomial: coefficient lists as the class
+# computed them before it stored int numerators over one denominator.
+def ref_strip(cs):
+    cs = [F(c) for c in cs] or [F(0)]
+    while len(cs) > 1 and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_strip(out)
+
+
+def ref_poly_eval(cs, x):
+    return sum((c * x**k for k, c in enumerate(cs)), F(0))
+
+
+def assert_poly_stored(got, ref):
+    """got holds the coefficients ref in the canonical stored form."""
+    assert got.coeffs == ref
+    assert all(type(c) is F for c in got.coeffs)
+    assert got.den > 0 and math.gcd(got.den, *got.nums) == 1
+    assert got.nums[-1] != 0 or got.nums == (0,) and got.den == 1
+    same = Polynomial(ref)
+    assert got == same and hash(got) == hash(same)
+    assert (got.nums, got.den) == (same.nums, same.den)
+
+
+def fraction_interpolate(points, degree_bound):
+    """poly_interpolate as it ran over Fractions before it went fraction-free:
+    Newton divided differences, the Newton form expanded one factor
+    (y - x_i) at a time, and the extra points checked; the coefficient
+    tuple, or ConsistencyError with the same message."""
+    pts = [(F(x), F(y)) for x, y in points]
+    need = degree_bound + 1
+    xs = [x for x, _ in pts[:need]]
+    coefs = [y for _, y in pts[:need]]
+    for level in range(1, need):
+        for i in range(need - 1, level - 1, -1):
+            coefs[i] = (coefs[i] - coefs[i - 1]) / (xs[i] - xs[i - level])
+    poly = [coefs[-1]]
+    for i in range(need - 2, -1, -1):
+        poly = [F(0)] + poly
+        for j in range(len(poly) - 1):
+            poly[j] -= xs[i] * poly[j + 1]
+        poly[0] += coefs[i]
+    poly = ref_strip(poly)
+    for x, y in pts[need:]:
+        got = ref_poly_eval(poly, x)
+        if got != y:
+            raise ConsistencyError(
+                f"point ({x}, {y}) off the degree-{degree_bound} interpolant (expected {got})"
+            )
+    return poly
+
+
+def poly_coeffs(max_size=8):
+    """Coefficient lists with zeros, trailing zeros and unrelated denominators."""
+    coeff = st.one_of(st.just(F(0)), small_fraction, wide_scalar)
+    return st.lists(coeff, min_size=0, max_size=max_size)
+
+
+@st.composite
+def interpolation_case(draw):
+    """Distinct, unsorted rational nodes with denominators up to 12, a degree
+    bound of 0..12, arbitrary values on the base nodes and 0..3 extra
+    points, each on the interpolant or off it."""
+    bound = draw(st.integers(0, 12))
+    extra = draw(st.integers(0, 3))
+    node = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+    xs = draw(st.lists(node, min_size=bound + 1 + extra, max_size=bound + 1 + extra, unique=True))
+    value = st.fractions(min_value=-(10**4), max_value=10**4, max_denominator=50)
+    pts = [(x, draw(value)) for x in xs[: bound + 1]]
+    curve = fraction_interpolate(pts, bound)
+    for x in xs[bound + 1 :]:
+        off = draw(st.one_of(st.just(F(0)), value))
+        pts.append((x, ref_poly_eval(curve, x) + off))
+    return pts, bound
+
+
+class TestPolynomialStoredForm:
+    @given(case=interpolation_case())
+    @settings(max_examples=80, deadline=None)
+    def test_interpolation_matches_fraction_newton(self, case):
+        pts, bound = case
+        try:
+            ref = fraction_interpolate(pts, bound)
+        except ConsistencyError as e:
+            with pytest.raises(ConsistencyError) as got:
+                poly_interpolate(pts, bound)
+            assert str(got.value) == str(e)
+        else:
+            assert_poly_stored(poly_interpolate(pts, bound), ref)
+
+    @given(a=poly_coeffs(), b=poly_coeffs(), c=wide_scalar, x=wide_scalar)
+    @settings(max_examples=120, deadline=None)
+    def test_arithmetic_matches_fraction_reference(self, a, b, c, x):
+        pa, pb = Polynomial(a), Polynomial(b)
+        ra, rb = ref_strip(a), ref_strip(b)
+        assert_poly_stored(pa, ra)
+        za, zb = (*ra, *[F(0)] * len(rb)), (*rb, *[F(0)] * len(ra))
+        assert_poly_stored(pa + pb, ref_strip(ref_add(za, zb)))
+        assert_poly_stored(pa - pb, ref_strip(ref_sub(za, zb)))
+        assert_poly_stored(pa - pa, (F(0),))
+        assert_poly_stored(pa * pb, ref_poly_mul(ra, rb))
+        assert_poly_stored(pa.scale(c), ref_strip(ref_scale(F(c), ra)))
+        assert_poly_stored(c * pa, ref_strip(ref_scale(F(c), ra)))
+        assert pa(x) == ref_poly_eval(ra, F(x)) and type(pa(x)) is F
+        assert pa.degree == len(ra) - 1 and pa.leading == ra[-1]
+        assert pa.is_zero() == (ra == (F(0),))
+        assert repr(pa) == f"Polynomial({list(ra)!r})"
+
+    @given(a=poly_coeffs(), b=poly_coeffs(), c=small_fraction.filter(bool))
+    @settings(max_examples=80, deadline=None)
+    def test_equal_polynomials_store_equal_ints(self, a, b, c):
+        p, q = Polynomial(a), Polynomial(b)
+        routes = [
+            Polynomial([*a, 0, 0]),
+            (p + q) - q,
+            p.scale(c).scale(1 / c),
+            p * Polynomial([1]),
+            (p * Polynomial([F(1, 3), c])).scale(3) - (p * Polynomial([0, 3 * c])),
+        ]
+        for r in routes:
+            assert r == p and hash(r) == hash(p)
+            assert (r.nums, r.den) == (p.nums, p.den)
+
+    def test_stored_examples(self):
+        half, third = F(1, 2), F(1, 3)
+        assert (Polynomial([half, third]).nums, Polynomial([half, third]).den) == ((3, 2), 6)
+        assert (Polynomial([0, 0]).nums, Polynomial([0, 0]).den) == ((0,), 1)
+        assert (Polynomial().nums, Polynomial([]).den) == ((0,), 1)
+        p = Polynomial([half, third]).scale(0)
+        assert (p.nums, p.den) == ((0,), 1)
+        q = Polynomial([F(-1, 4), 0, F(1, 6)])
+        assert (q.nums, q.den) == ((-3, 0, 2), 12)
+        assert (Polynomial([F(1, 2)]) * Polynomial([2, 4])) == Polynomial([1, 2])
+        assert (Polynomial([F(1, 2)]) * Polynomial([2, 4])).den == 1
+        assert q(F(-2, 3)) == F(-1, 4) + F(1, 6) * F(4, 9)
+
+    def test_sigma_poly_matches_fraction_newton(self):
+        # sigma_poly's consecutive integer nodes, where level k's denominator is k!
+        for m in range(13):
+            for ell in range(m + 1):
+                deg = 2 * (m - ell)
+                pts = [(F(y), sigma_series(m, ell, F(y))) for y in range(deg + 1)]
+                assert_poly_stored(sigma_poly(m, ell), fraction_interpolate(pts, deg))
+
+    def test_builds_no_fraction_until_read(self):
+        """+, -, *, scale and interpolation without extra points run no
+        Fraction constructor: only coeffs, leading and a value build one."""
+        import fractions
+        import sys
+
+        built = []
+
+        def watch(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_filename == fractions.__file__:
+                if code.co_name in ("__new__", "_from_coprime_ints"):
+                    built.append(code.co_name)
+
+        p, q, c = Polynomial([F(1, 2), F(-2, 3), 5]), Polynomial([F(3, 7), 1]), F(-5, 6)
+        pts = [(F(x, 3), F(x * x - 1, 5)) for x in range(-4, 5)]
+        sys.setprofile(watch)
+        try:
+            r = ((p + q) - q) * p
+            r = r.scale(c)
+            s = poly_interpolate(pts, len(pts) - 1)
+        finally:
+            sys.setprofile(None)
+        assert built == []
+        assert r == (p * p).scale(c)
+        assert s == Polynomial([F(-1, 5), 0, F(9, 5)])
 
 
 class TestInterpolation:
@@ -417,6 +614,29 @@ WRONG_OPERAND_CALLS = {
     "interpolate 3-tuple point": lambda: poly_interpolate([(0, 1, 2)], 0),
     "interpolate str points": lambda: poly_interpolate("ab", 0),
     "interpolate None after a pair": lambda: poly_interpolate([(0, 1), None], 0),
+    # before, each container below was read in its own order or as small
+    # ints: a mapping by its keys, a set in hash order, bytes as byte values
+    "from_coeffs dict coefficients": lambda: TruncatedSeries.from_coeffs({0: 5}, 2),
+    "from_coeffs set coefficients": lambda: TruncatedSeries.from_coeffs({3, 1}, 2),
+    "from_coeffs frozenset coefficients": lambda: TruncatedSeries.from_coeffs(frozenset({3}), 2),
+    "from_coeffs bytes coefficients": lambda: TruncatedSeries.from_coeffs(b"\x01\x02", 2),
+    "constructor dict coefficients": lambda: TruncatedSeries(1, {0: 1, 1: 2}),
+    "constructor bytearray coefficients": lambda: TruncatedSeries(1, bytearray(b"\x01\x02")),
+    "constructor set coefficients": lambda: TruncatedSeries(0, {1}),
+    "polynomial bytes coefficients": lambda: Polynomial(b"\x01\x02"),
+    "polynomial bytearray coefficients": lambda: Polynomial(bytearray(b"\x01\x02")),
+    "polynomial dict coefficients": lambda: Polynomial({0: 1, 1: 2}),
+    "polynomial set coefficients": lambda: Polynomial({1, 2}),
+    "polynomial frozenset coefficients": lambda: Polynomial(frozenset({1})),
+    "polynomial str coefficients": lambda: Polynomial("12"),
+    "interpolate bytes point": lambda: poly_interpolate([b"\x01\x02"], 0),
+    "interpolate bytearray point": lambda: poly_interpolate([(0, 1), bytearray(b"\x01\x02")], 0),
+    "interpolate dict point": lambda: poly_interpolate([{0: 1, 1: 2}], 0),
+    "interpolate set point": lambda: poly_interpolate([{0, 1}], 0),
+    "interpolate dict points": lambda: poly_interpolate({(0, 1): "a"}, 0),
+    "interpolate set points": lambda: poly_interpolate({(0, 1), (1, 2)}, 1),
+    "interpolate frozenset points": lambda: poly_interpolate(frozenset({(0, 1)}), 0),
+    "interpolate bytes points": lambda: poly_interpolate(b"\x01\x02", 0),
 }
 
 
@@ -433,3 +653,17 @@ def test_int_coefficients_are_stored_as_fractions():
     assert series == TruncatedSeries.from_coeffs([1, F(1, 2)], 1)
     assert all(type(c) is F for c in Polynomial([1, 2]).coeffs)
     assert type(Polynomial([1, 2])(3)) is F
+
+
+def test_ordered_containers_stay_accepted():
+    cubic = Polynomial([1, 2])
+    for coeffs in ([1, 2], (1, 2), range(1, 3), (c for c in [1, 2])):
+        assert Polynomial(coeffs) == cubic
+    series = TruncatedSeries.from_coeffs([1, 2], 2)
+    for coeffs in ((1, 2), range(1, 3), (c for c in [1, 2])):
+        assert TruncatedSeries.from_coeffs(coeffs, 2) == series
+    assert TruncatedSeries(1, range(1, 3)) == series.truncate(1)
+    line = Polynomial([1, 1])
+    for points in ([(0, 1), [1, 2]], ((0, 1), (1, 2)), ((x, x + 1) for x in range(2))):
+        assert poly_interpolate(points, 1) == line
+    assert poly_interpolate([range(2), (x for x in (1, 2))], 1) == line
