@@ -134,8 +134,8 @@ def run_tests(work: Path, test_file: str, timeout: float) -> bool:
     return done.returncode == 0
 
 
-def sample_module(module: str, count: int, work: Path) -> tuple[int, int]:
-    """Run ``count`` sampled mutants of one module; (killed, run)."""
+def sample_module(module: str, count: int, work: Path) -> None:
+    """Run ``count`` sampled mutants of one module and print the survivors."""
     rel = PACKAGE / f"{module}.py"
     target = work / rel
     source = (ROOT / rel).read_text()
@@ -158,7 +158,6 @@ def sample_module(module: str, count: int, work: Path) -> tuple[int, int]:
             killed += 1
     target.write_text(source)
     print(f"{module}: killed {killed} of {len(mutants)} against {TESTS[module]}", flush=True)
-    return killed, len(mutants)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -84,7 +84,7 @@ def _require_operand(where: str, other: object, cls: type) -> None:
         raise DomainError(f"{where}: operand must be a {cls.__name__}, got {other!r}")
 
 
-def _lowest(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+def _lowest(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     """nums over den > 0 with gcd(den, *nums) divided out: the one
     lowest-terms step of ``TruncatedSeries`` and ``Polynomial``."""
     g = math.gcd(den, *nums)
@@ -93,7 +93,7 @@ def _lowest(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(nums), den
 
 
-def _series(order: int, nums: list[int], den: int) -> "TruncatedSeries":
+def _series(order: int, nums: Sequence[int], den: int) -> "TruncatedSeries":
     """The series sum_k nums[k] T^k / den, den > 0, brought to lowest terms."""
     s = object.__new__(TruncatedSeries)
     s._store(order, *_lowest(nums, den))

@@ -1,5 +1,7 @@
+import fractions
 import math
 import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -461,9 +463,6 @@ class TestPolynomialStoredForm:
     def test_builds_no_fraction_until_read(self):
         """+, -, *, scale and interpolation without extra points run no
         Fraction constructor: only coeffs, leading and a value build one."""
-        import fractions
-        import sys
-
         built = []
 
         def watch(frame, event, arg):
