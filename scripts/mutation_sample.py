@@ -14,11 +14,12 @@ fails or times out kills it.  Before sampling, the unmutated module,
 written the same way, must pass its tests.
 
 Usage:
-    python scripts/mutation_sample.py [MODULE ...] [--mutants N]
+    python scripts/mutation_sample.py [MODULE ...]
 
-With no module every module in ``TESTS`` is sampled.  It prints one
-``killed K of N`` line per module and exits 0 whatever survives: deciding
-whether a survivor is equivalent is left to the reader.
+It samples ``MUTANTS`` sites of each module; with no module every module
+in ``TESTS`` is sampled.  It prints one ``killed K of N`` line per module
+and exits 0 whatever survives: deciding whether a survivor is equivalent
+is left to the reader.
 """
 
 from __future__ import annotations
@@ -134,8 +135,8 @@ def run_tests(work: Path, test_file: str, timeout: float) -> bool:
     return done.returncode == 0
 
 
-def sample_module(module: str, count: int, work: Path) -> None:
-    """Run ``count`` sampled mutants of one module and print the survivors."""
+def sample_module(module: str, work: Path) -> None:
+    """Run ``MUTANTS`` sampled mutants of one module and print the survivors."""
     rel = PACKAGE / f"{module}.py"
     target = work / rel
     source = (ROOT / rel).read_text()
@@ -147,7 +148,7 @@ def sample_module(module: str, count: int, work: Path) -> None:
     timeout = max(60.0, 5 * (time.perf_counter() - start))
 
     candidates = sites(ast.parse(source))
-    chosen = random.Random(f"{SEED}:{module}").sample(candidates, min(count, len(candidates)))
+    chosen = random.Random(f"{SEED}:{module}").sample(candidates, min(MUTANTS, len(candidates)))
     mutants = sorted((mutate(source, site) for site in chosen), key=lambda m: m[1])
     killed = 0
     for text, line, change in mutants:
@@ -163,13 +164,10 @@ def sample_module(module: str, count: int, work: Path) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="*", metavar="MODULE", help=", ".join(TESTS))
-    parser.add_argument("--mutants", type=int, default=MUTANTS)
     args = parser.parse_args(argv)
     unknown = [m for m in args.modules if m not in TESTS]
     if unknown:
         parser.error(f"unknown modules {unknown}; choose from {', '.join(TESTS)}")
-    if args.mutants < 1:
-        parser.error("--mutants must be at least 1")
     with tempfile.TemporaryDirectory(prefix="mutation-") as tmp:
         work = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__")
@@ -178,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
         shutil.copy(ROOT / "pyproject.toml", work)
         (work / "conftest.py").write_text(CONFTEST)
         for module in args.modules or list(TESTS):
-            sample_module(module, args.mutants, work)
+            sample_module(module, work)
     return 0
 
 

@@ -43,15 +43,20 @@ def require_rationals(where: str, **values: object) -> None:
 _UNORDERED = (abc.Mapping, abc.Set, str, bytes, bytearray)
 
 
-def require_ordered(where: str, name: str, v: object, kind: type = abc.Iterable) -> None:
-    """Raise DomainError unless v is a ``kind`` (by default any iterable) that
-    is not a mapping, a set or frozenset, or a str, bytes or bytearray.
+def is_ordered(v: object, kind: type = abc.Iterable) -> bool:
+    """Whether v is a ``kind`` (by default any iterable) that is not a
+    mapping, a set or frozenset, or a str, bytes or bytearray.
 
-    Lists, tuples, ranges and generators pass.
+    Lists, tuples, ranges and generators are ordered.
     """
     if type(v) is list or type(v) is tuple:
-        return
-    if not isinstance(v, kind) or isinstance(v, _UNORDERED):
+        return True
+    return isinstance(v, kind) and not isinstance(v, _UNORDERED)
+
+
+def require_ordered(where: str, name: str, v: object, kind: type = abc.Iterable) -> None:
+    """Raise DomainError naming v unless ``is_ordered(v, kind)``."""
+    if not is_ordered(v, kind):
         raise DomainError(
             f"{where}: {name} must be an ordered {kind.__name__.lower()}"
             f" (not a mapping, set, str or bytes), got {v!r}"

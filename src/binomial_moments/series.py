@@ -13,11 +13,12 @@ Fraction (orders, exponents and indices an int) and raises DomainError
 for anything else, bool, float and str included, so no binary value
 enters the arithmetic.  Coefficient lists and interpolation points must
 come in order: a mapping, a set and str, bytes or bytearray are refused
-(``errors.require_ordered``).  The type is tested first and
-``require_*`` is called only to raise, which keeps the internal
-constructions cheap.  The arithmetic operators likewise raise DomainError
-when the other operand, on either side, is not a series (a polynomial
-for ``Polynomial``).
+(``errors.is_ordered``); ``poly_interpolate`` gives its one "needs (x, y)
+pairs" message for anything that is not an ordered iterable of pairs.
+The type is tested first and ``require_*`` is called only to raise,
+which keeps the internal constructions cheap.  The arithmetic operators
+likewise raise DomainError when the other operand, on either side, is
+not a series (a polynomial for ``Polynomial``).
 
 Both classes store one int numerator per coefficient over one positive
 int denominator, ``nums`` over ``den``, with gcd(den, *nums) = 1; a
@@ -63,6 +64,7 @@ from .errors import (
     DuplicateAbscissa,
     IndexOutOfOrder,
     OrderMismatch,
+    is_ordered,
     require_ints,
     require_ordered,
     require_rationals,
@@ -416,17 +418,23 @@ def poly_interpolate(
         require_ints("poly_interpolate", degree_bound=degree_bound)
     if degree_bound < 0:
         raise DomainError(f"degree bound must be >= 0, got {degree_bound}")
-    require_ordered("poly_interpolate", "points", points)
+
+    def not_pairs() -> DomainError:
+        return DomainError(f"poly_interpolate needs (x, y) pairs, got {points!r}")
+
+    if not is_ordered(points):
+        raise not_pairs()
     pts = []
     try:
         for pair in points:
-            require_ordered("poly_interpolate", "each point", pair)
+            if not is_ordered(pair):
+                raise not_pairs()
             x, y = pair
             pts.append(
                 (_rational("poly_interpolate", "x", x), _rational("poly_interpolate", "y", y))
             )
     except (TypeError, ValueError):  # a point not a pair, or an iterator that fails
-        raise DomainError(f"poly_interpolate needs (x, y) pairs, got {points!r}") from None
+        raise not_pairs() from None
     seen = set()
     for x, _ in pts:
         if x in seen:

@@ -645,6 +645,16 @@ def test_arithmetic_rejects_wrong_operands(call):
         call()
 
 
+NOT_PAIRS = {k: v for k, v in WRONG_OPERAND_CALLS.items() if k.startswith("interpolate")}
+
+
+@pytest.mark.parametrize("call", NOT_PAIRS.values(), ids=NOT_PAIRS.keys())
+def test_interpolation_names_what_is_not_a_pair(call):
+    # one message for points that are not iterable, not pairs, or not in order
+    with pytest.raises(DomainError, match=r"^poly_interpolate needs \(x, y\) pairs, got "):
+        call()
+
+
 def test_int_coefficients_are_stored_as_fractions():
     series = TruncatedSeries(1, (1, F(1, 2)))
     assert series.coeffs == (F(1), F(1, 2))
