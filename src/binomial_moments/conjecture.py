@@ -23,8 +23,10 @@ every term and a one-term prefactor scale a whole row, so they normalise
 away: on the same nodes, every one-term shape of degree d, whatever its
 prefactor and root option, is the Vandermonde matrix (1, n, ..., n^d), and
 each two-term shape is one matrix per prefactor pair and degree.  The
-holdout check evaluates the candidate through ``Ansatz.value``, the same
-int row summed against the coefficients.  ``fit`` takes no nodes: it
+holdout check is ``Ansatz.value`` compared with the oracle, done in int:
+the basis row summed against the coefficients over their lcm, cross-
+multiplied with the oracle value's numerator and denominator, so no
+Fraction is built per point.  ``fit`` takes no nodes: it
 reads them from ``fitting_nodes``, the one node rule, so every fit has
 HOLDOUT verification points and a candidate is ``verified`` exactly when
 every one of them matches.
@@ -157,15 +159,20 @@ def solve_exact(
     """Solve a square or overdetermined-consistent system exactly.
 
     Matrix rows and rhs are sequences of ``int`` or ``Fraction``; anything
-    else raises DomainError.  Each row runs through three steps:
+    else raises DomainError.  The system runs through three steps:
 
-    1. It becomes int: a row of ints is taken as it is, any other row,
-       rhs included, is multiplied by the lcm of its denominators.
-    2. Its matrix part is divided by the gcd of its entries, signed so
-       that the first nonzero entry is positive; the rhs becomes the
-       reduced fraction b / (that signed gcd).  A row scale moves neither
-       the solution nor which entries are zero, so the pivots, the
+    1. One pass over the rows validates each row and its rhs entry, makes
+       them int and normalises them.  A row of ints with an int rhs is
+       taken as it is; any other row, rhs included, is multiplied by the
+       lcm of its denominators.  The row is then divided by the gcd of
+       its entries, signed so that the first nonzero entry is positive,
+       and that is its part of the cache key; the rhs becomes the reduced
+       fraction b / (that signed gcd).  A row scale moves neither the
+       solution nor which entries are zero, so the pivots, the
        permutation and every outcome stay those of the rows as given.
+    2. The shape is checked after the pass: the row and rhs counts, an
+       empty system, a ragged matrix, fewer rows than unknowns, in that
+       order.
     3. The normalised matrix is factored once by ``_bareiss``, a
        module-level ``lru_cache`` of bound 32 keyed by the normalised
        rows, and each right-hand side is replayed through its row order,
@@ -189,43 +196,40 @@ def solve_exact(
     """
     require_ordered("solve_exact", "matrix", matrix, abc.Sequence)
     require_ordered("solve_exact", "rhs", rhs, abc.Sequence)
-    rows, scales = [], []
+    key, gcds, nums, dens, scales = [], [], [], [], []
     for row, b in zip(matrix, rhs):
-        require_ordered("solve_exact", "each matrix row", row, abc.Sequence)
-        vals = [*row, b]
+        if type(row) is not list and type(row) is not tuple:
+            require_ordered("solve_exact", "each matrix row", row, abc.Sequence)
         scale = 1
-        if set(map(type, vals)) != {int}:
-            for v in vals:
+        if type(b) is not int or not {int}.issuperset(map(type, row)):
+            for v in (*row, b):
                 if type(v) is not int and type(v) is not Fraction:
                     require_rationals("solve_exact", entry=v)
                 scale = math.lcm(scale, v.denominator)
-            vals = [v.numerator * (scale // v.denominator) for v in vals]
-        rows.append(vals)
-        scales.append(scale)
-    if len(rows) != len(matrix) or len(rows) != len(rhs):
-        raise DomainError("matrix and rhs lengths differ")
-    if not rows:
-        raise SingularSystem("empty system")
-    ncols = len(rows[0]) - 1
-    if any(len(r) != ncols + 1 for r in rows):
-        raise DomainError("ragged matrix")
-    nrows = len(rows)
-    if nrows < ncols:
-        raise SingularSystem(f"{nrows} equations for {ncols} unknowns")
-
-    key, gcds, nums, dens = [], [], [], []
-    for vals in rows:
-        a, b = vals[:ncols], vals[ncols]
-        g = math.gcd(*a) or 1  # an all-zero row stays as it is
-        if next((v for v in a if v), 0) < 0:
-            g = -g
-        if g != 1:
-            a = [v // g for v in a]
+            row = [v.numerator * (scale // v.denominator) for v in row]
+            b = b.numerator * (scale // b.denominator)
+        g = math.gcd(*row) or 1  # an all-zero row stays as it is
+        for v in row:
+            if v:
+                if v < 0:
+                    g = -g
+                break
         h = math.gcd(b, g) if g > 0 else -math.gcd(b, g)
-        key.append(tuple(a))
+        key.append(tuple(row) if g == 1 else tuple([v // g for v in row]))
         gcds.append(g)
         nums.append(b // h)
         dens.append(g // h)
+        scales.append(scale)
+    nrows = len(key)
+    if nrows != len(matrix) or nrows != len(rhs):
+        raise DomainError("matrix and rhs lengths differ")
+    if not key:
+        raise SingularSystem("empty system")
+    ncols = len(key[0])
+    if any(len(a) != ncols for a in key):
+        raise DomainError("ragged matrix")
+    if nrows < ncols:
+        raise SingularSystem(f"{nrows} equations for {ncols} unknowns")
     order, uppers, multipliers = _bareiss(tuple(key))
 
     lcm = math.lcm(*dens)
@@ -285,16 +289,20 @@ def fit(family: str, power: int, ansatz: Ansatz) -> ClosedFormCandidate:
     matrix, rhs = [], []
     for n in samples:
         ints, den = ansatz.basis_row(n)
-        v = oracle(MomentQuery(family, power, n))
-        scale = math.lcm(den, v.denominator)
+        p, q = oracle(MomentQuery(family, power, n)).as_integer_ratio()
+        scale = math.lcm(den, q)
         matrix.append([a * (scale // den) for a in ints])
-        rhs.append(v.numerator * (scale // v.denominator))
+        rhs.append(p * (scale // q))
     coeffs = tuple(solve_exact(matrix, rhs))
 
+    # The holdout check of Ansatz.value against the oracle, in int: the
+    # candidate is sum(ints * nums) / (den * scale), both denominators > 0.
     nums, scale = _over_lcm(coeffs)
     mismatch = None
     for n in holdout:
-        if ansatz.value(nums, n, scale) != oracle(MomentQuery(family, power, n)):
+        ints, den = ansatz.basis_row(n)
+        p, q = oracle(MomentQuery(family, power, n)).as_integer_ratio()
+        if sum(map(operator.mul, ints, nums)) * q != p * den * scale:
             mismatch = n
             break
     status = "verified" if mismatch is None else "refuted"
@@ -421,11 +429,19 @@ def search_catalogue(config: SearchConfig) -> list[Ansatz]:
     if not isinstance(config, SearchConfig):
         raise DomainError(f"the search needs a SearchConfig, got {config!r}")
     roots_menu = _root_options(config.max_roots)
+    degrees = range(config.max_degree + 1)
+    # Each distinct term is built once, and every shape that holds it shares it.
+    term = {
+        (pf, roots, d): AnsatzTerm(pf, d, roots)
+        for pf in {pf for shape in SHAPES for pf in shape}
+        for roots in roots_menu
+        for d in degrees
+    }
     return [
-        Ansatz(tuple(AnsatzTerm(pf, d, roots) for pf in shape))
+        Ansatz(tuple(term[pf, roots, d] for pf in shape))
         for shape in SHAPES
         for roots in roots_menu
-        for d in range(config.max_degree + 1)
+        for d in degrees
     ]
 
 

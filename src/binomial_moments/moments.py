@@ -690,9 +690,11 @@ class Ansatz:
 
 
 def _over_lcm(coefficients: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The coefficients as int numerators over their lcm, as ``Ansatz.value`` takes them."""
-    scale = math.lcm(*[c.denominator for c in coefficients])
-    return [c.numerator * (scale // c.denominator) for c in coefficients], scale
+    """The coefficients as int numerators over their lcm, as ``Ansatz.value`` takes them;
+    each coefficient's numerator and denominator are read once."""
+    pairs = [c.as_integer_ratio() for c in coefficients]
+    scale = math.lcm(*[q for _, q in pairs])
+    return [p * (scale // q) for p, q in pairs], scale
 
 
 def _odd_roots(count: int, first: int) -> tuple[tuple[int, int], ...]:

@@ -53,10 +53,10 @@ is expanded by int Horner steps and reduced once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .errors import (
     ConsistencyError,
@@ -81,9 +81,13 @@ def _rational(where: str, name: str, v: Scalar) -> Fraction:
     return Fraction(v)
 
 
+def _refuse_operand(where: str, other: object, cls: type) -> NoReturn:
+    raise DomainError(f"{where}: operand must be a {cls.__name__}, got {other!r}")
+
+
 def _require_operand(where: str, other: object, cls: type) -> None:
     if not isinstance(other, cls):
-        raise DomainError(f"{where}: operand must be a {cls.__name__}, got {other!r}")
+        _refuse_operand(where, other, cls)
 
 
 def _lowest(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -208,13 +212,13 @@ class TruncatedSeries:
         _require_operand("TruncatedSeries.__sub__", other, TruncatedSeries)
         return self._plus(other, -1)
 
-    def __radd__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        _require_operand("TruncatedSeries.__radd__", other, TruncatedSeries)
-        return other + self
+    # Python calls a reflected operator only after other's own __add__ or
+    # __sub__ declined, so other is never a series here: both refuse.
+    def __radd__(self, other: object) -> NoReturn:
+        _refuse_operand("TruncatedSeries.__radd__", other, TruncatedSeries)
 
-    def __rsub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        _require_operand("TruncatedSeries.__rsub__", other, TruncatedSeries)
-        return other - self
+    def __rsub__(self, other: object) -> NoReturn:
+        _refuse_operand("TruncatedSeries.__rsub__", other, TruncatedSeries)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -281,7 +285,9 @@ class Polynomial:
     Coefficient k is nums[k] / den in canonical form: den > 0,
     gcd(den, *nums) = 1, no trailing zero numerator, and the zero
     polynomial stored as (0,) over 1.  ``coeffs`` reads the coefficients
-    as Fractions.
+    as Fractions.  Like a frozen dataclass, it refuses assignment and
+    deletion of every attribute; only ``_store`` writes, through
+    ``object.__setattr__``.
     """
 
     __slots__ = ("nums", "den")
@@ -295,7 +301,19 @@ class Polynomial:
     def _store(self, nums: list[int], den: int) -> None:
         while len(nums) > 1 and not nums[-1]:
             nums.pop()
-        self.nums, self.den = _lowest(nums or [0], den)
+        nums, den = _lowest(nums or [0], den)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name: str, value: object) -> NoReturn:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> NoReturn:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through _polynomial, not by assignment.
+        return _polynomial, (list(self.nums), self.den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -347,13 +365,12 @@ class Polynomial:
         _require_operand("Polynomial.__sub__", other, Polynomial)
         return self._plus(other, -1)
 
-    def __radd__(self, other: "Polynomial") -> "Polynomial":
-        _require_operand("Polynomial.__radd__", other, Polynomial)
-        return other + self
+    # As on TruncatedSeries: other is never a Polynomial here, so both refuse.
+    def __radd__(self, other: object) -> NoReturn:
+        _refuse_operand("Polynomial.__radd__", other, Polynomial)
 
-    def __rsub__(self, other: "Polynomial") -> "Polynomial":
-        _require_operand("Polynomial.__rsub__", other, Polynomial)
-        return other - self
+    def __rsub__(self, other: object) -> NoReturn:
+        _refuse_operand("Polynomial.__rsub__", other, Polynomial)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -346,6 +347,55 @@ class TestFit:
         shape = Ansatz((AnsatzTerm("bracket", 2), AnsatzTerm("unit", 2)))
         assert fit("D", 3, shape) == fit("D", 3, shape)
 
+    def test_int_holdout_agrees_with_the_fraction_rule(self):
+        config = SearchConfig(max_degree=3, max_roots=1)
+        targets = [("D", 2 * m, a) for m in (0, 1) for a in search_catalogue(config)]
+        targets += [(pf.family, pf.power, pf.ansatz) for pf in printed_forms()]
+        statuses = set()
+        for target in targets:
+            try:
+                want = reference_fit(*target)
+            except SingularSystem:
+                with pytest.raises(SingularSystem):
+                    fit(*target)
+                statuses.add("singular")
+                continue
+            cand = fit(*target)
+            assert (cand.status, cand.first_mismatch, cand.coefficients) == want, target
+            statuses.add(cand.status)
+        assert {"verified", "refuted"} <= statuses
+
+    @pytest.mark.parametrize("bad", [6, 10, 15])
+    def test_one_wrong_holdout_value_refutes(self, monkeypatch, bad):
+        assert fit("A", 2, self.A2).verified_on == tuple(range(6, 16))
+
+        def off_by_one(q):
+            return oracle(q) + 1 if q.n == bad else oracle(q)
+
+        monkeypatch.setattr(conjecture, "oracle", off_by_one)
+        cand = fit("A", 2, self.A2)
+        assert cand.coefficients == (F(0), F(1))
+        assert (cand.status, cand.first_mismatch) == ("refuted", bad)
+
+
+def reference_fit(family, power, ansatz):
+    """``fit``'s outcome as (status, first mismatch, coefficients), by the
+    Fraction rule: Fraction rows, and every holdout point compared as
+    ``Ansatz.value(...) != oracle(...)``."""
+    samples, holdout = fitting_nodes(power, ansatz)
+    matrix = []
+    for n in samples:
+        ints, den = ansatz.basis_row(n)
+        matrix.append([F(a, den) for a in ints])
+    rhs = [oracle(MomentQuery(family, power, n)) for n in samples]
+    coeffs = tuple(solve_exact(matrix, rhs))
+    scale = math.lcm(*[c.denominator for c in coeffs])
+    nums = [c.numerator * (scale // c.denominator) for c in coeffs]
+    for n in holdout:
+        if ansatz.value(nums, n, scale) != oracle(MomentQuery(family, power, n)):
+            return "refuted", n, coeffs
+    return "verified", None, coeffs
+
 
 class TestInputDomain:
     """The fitter's entry points take exact ints; every refusal is a DomainError."""
@@ -506,6 +556,14 @@ class TestRediscovery:
         assert report.all_ok and report.to_dict()["entries"] == [ENTRY.to_dict()]
         assert RediscoveryReport().to_dict() == {"all_ok": True, "entries": []}
 
+    def test_term_coefficients_split_per_term(self):
+        pf = moments.COROLLARIES[("D", 3)]  # two terms of degree 2
+        split = fit("D", 3, pf.ansatz).term_coefficients()
+        assert [t for t, _ in split] == list(pf.ansatz.terms)
+        assert [cs for _, cs in split] == [
+            tuple(F(c, den) for c in num) for num, den in zip(pf.numerators, pf.denominators)
+        ]
+
     def test_labels_cover_all_families(self):
         labels = {pf.label for pf in printed_forms()}
         assert {"A0", "A10", "B0", "B9", "C0", "C10", "D1", "D9"} <= labels
@@ -530,6 +588,25 @@ class TestExploreDEven:
                 monkeypatch.setattr(module, "PREFACTORS", tuple(moments._PREFACTOR))
         assert AnsatzTerm("extra", 0).describe() == "n * poly(deg<=0)"
         assert search_catalogue(SearchConfig()) == before
+
+    def test_default_bounds(self):
+        assert (SearchConfig().max_degree, SearchConfig().max_roots) == (4, 2)
+
+    def test_root_options(self):
+        # none, then for each count: (2n-3)(2n-5)..., (2n-1)(2n-3)..., (n-1)(n-2)...
+        assert conjecture._root_options(2) == [
+            (),
+            ((2, -3),),
+            ((2, -1),),
+            ((1, -1),),
+            ((2, -3), (2, -5)),
+            ((2, -1), (2, -3)),
+            ((1, -1), (1, -2)),
+        ]
+
+    def test_candidates_fit_the_even_power(self):
+        cands = explore_D_even(1, self.config)
+        assert {(c.family, c.power) for c in cands} == {("D", 2)}
 
     @pytest.mark.parametrize("bounds", [(-1, 0), (0, -1)])
     def test_negative_bounds_are_refused(self, bounds):

@@ -304,6 +304,13 @@ class TestCorollaryValue:
         with pytest.raises(NotTabulated):
             corollary_value(MomentQuery("D", 2, 3))
 
+    def test_validity_note_names_the_guard_only_when_there_is_one(self):
+        assert corollary_value(MomentQuery("A", 2, 3)).validity_note is None
+        assert (
+            corollary_value(MomentQuery("C", 9, 6)).validity_note
+            == "printed form valid for n >= 6"
+        )
+
     def test_guards(self):
         with pytest.raises(GuardViolated):
             corollary_value(MomentQuery("C", 9, 5))  # needs n >= 6
@@ -665,6 +672,12 @@ class TestIntClosedForms:
 
 
 EVALUATORS = [form for form, _, _, _ in CLOSED_FORMS] + [c_even_first_form]
+
+
+@pytest.mark.parametrize("t", range(1, 5))
+def test_c_even_first_form_matches_the_oracle(t):
+    for n in range(1, 9):
+        assert c_even_first_form(t, n) == oracle(MomentQuery("C", 2 * t, n)), n
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,10 @@
+import copy
 import fractions
 import math
 import pathlib
+import pickle
 import sys
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -643,6 +646,76 @@ WRONG_OPERAND_CALLS = {
 def test_arithmetic_rejects_wrong_operands(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: 1 + POLY, "Polynomial.__radd__: operand must be a Polynomial, got 1"),
+        (lambda: 1 - POLY, "Polynomial.__rsub__: operand must be a Polynomial, got 1"),
+        (
+            lambda: F(1) + ONE,
+            "TruncatedSeries.__radd__: operand must be a TruncatedSeries, got Fraction(1, 1)",
+        ),
+        (lambda: 1 - ONE, "TruncatedSeries.__rsub__: operand must be a TruncatedSeries, got 1"),
+        # called directly, with an operand of their own class, they still refuse
+        (
+            lambda: POLY.__radd__(POLY),
+            "Polynomial.__radd__: operand must be a Polynomial, got Polynomial([Fraction(1, 1), "
+            "Fraction(2, 1)])",
+        ),
+        (
+            lambda: ONE.__rsub__(ONE),
+            f"TruncatedSeries.__rsub__: operand must be a TruncatedSeries, got {ONE!r}",
+        ),
+    ],
+    ids=[
+        "int plus polynomial",
+        "int minus polynomial",
+        "Fraction plus series",
+        "int minus series",
+        "polynomial radd polynomial",
+        "series rsub series",
+    ],
+)
+def test_reflected_operators_refuse(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: Polynomial([F(1, 2), 3]), "nums"),
+        (lambda: Polynomial([F(1, 2), 3]), "den"),
+        (lambda: TruncatedSeries(1, [F(1, 2), 3]), "order"),
+        (lambda: TruncatedSeries(1, [F(1, 2), 3]), "nums"),
+        (lambda: TruncatedSeries(1, [F(1, 2), 3]), "den"),
+    ],
+    ids=["Polynomial.nums", "Polynomial.den", "series.order", "series.nums", "series.den"],
+)
+def test_fields_refuse_assignment_and_deletion(make, name):
+    obj = make()
+    with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+        setattr(obj, name, 0)
+    with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+        delattr(obj, name)
+    assert obj == make() and hash(obj) == hash(make())
+
+
+def test_a_refused_assignment_leaves_the_polynomial_usable():
+    # before, p.den = 0 was stored and p(1) raised ZeroDivisionError
+    p = Polynomial([1, 2])
+    with pytest.raises(FrozenInstanceError):
+        p.den = 0
+    assert p(1) == 3
+
+
+def test_polynomials_copy_and_pickle():
+    p = Polynomial([F(1, 2), 0, -3])
+    for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert q == p and (q.nums, q.den) == ((1, 0, -6), 2)
 
 
 NOT_PAIRS = {k: v for k, v in WRONG_OPERAND_CALLS.items() if k.startswith("interpolate")}
