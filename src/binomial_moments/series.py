@@ -3,9 +3,9 @@
 A TruncatedSeries is a formal power series in one variable T over the
 rationals, cut off at a fixed order M: only coefficients of T^0..T^M are
 stored and arithmetic never looks past index M.  A Polynomial is dense,
-lowest degree first.  Both are value objects.  ``_poly_text`` is the one
-plain-text printer of a coefficient list, in a variable it is given:
-``str`` of a Polynomial writes it in y, and ``moments``' ansatz
+lowest degree first.  Both are frozen dataclasses.  ``_poly_text`` is
+the one plain-text printer of a coefficient list, in a variable it is
+given: ``str`` of a Polynomial writes it in y, and ``moments``' ansatz
 descriptions in n.
 
 Every entry takes coefficients and arguments that are an int or a
@@ -26,15 +26,21 @@ Polynomial also has no trailing zero numerator, and zero is (0,) over 1.
 This form is canonical: den * c_k is an int for every k, so the lcm L of
 the coefficients' denominators divides den, and den / L divides den and
 every numerator c_k * den, hence is 1; equal values therefore store
-equal ints, and equality and hashing read them directly.  The
-arithmetic stays in int and divides out one gcd per result, in the one
-lowest-terms step ``_lowest`` (Knuth, TAOCP Vol. 2, 4.5.1): ``+`` and
-``-`` rescale to the lcm of the two denominators, ``scale`` multiplies
-in the scalar's numerator and denominator, products convolve the
-numerators over the product of the denominators, ``geometric`` stores
-int powers and ``truncate`` slices.  A Polynomial is evaluated at p/q
-by Horner's rule in int.  A Fraction is built only when a coefficient
-or a value is read.
+equal ints, and equality and hashing read them directly.  The private
+base class ``_IntOverDen`` holds the code of this form that both share
+(``coeffs``, ``+``, ``-``, their refusals, ``scale``), and each class
+supplies two hooks: ``_like`` builds a canonical value of its own kind,
+and ``_pairs`` pairs two numerator lists (``zip`` after the one order
+check ``_check_orders`` for a series, ``zip_longest`` for a polynomial).
+Both constructors write their coefficients over their lcm in
+``_over_lcm``.  The arithmetic stays in int and divides out one gcd per
+result, in the one lowest-terms step ``_lowest`` (Knuth, TAOCP Vol. 2,
+4.5.1): ``+`` and ``-`` rescale to the lcm of the two denominators,
+``scale`` multiplies in the scalar's numerator and denominator, products
+convolve the numerators over the product of the denominators,
+``geometric`` stores int powers and ``truncate`` slices.  A Polynomial
+is evaluated at p/q by Horner's rule in int.  A Fraction is built only
+when a coefficient or a value is read.
 
 The convolution is the one int kernel, ``_convolve``, which takes plain
 int lists and checks nothing: ``series_mul`` calls it on the numerators
@@ -53,10 +59,10 @@ is expanded by int Horner steps and reduced once.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, NoReturn, Sequence, TypeVar
 
 from .errors import (
     ConsistencyError,
@@ -99,6 +105,64 @@ def _lowest(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(nums), den
 
 
+def _over_lcm(cs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The Fractions cs as int numerators over their lcm, no gcd taken (module docstring)."""
+    den = math.lcm(*[c.denominator for c in cs])
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _check_orders(a: "TruncatedSeries", b: "TruncatedSeries") -> None:
+    if a.order != b.order:
+        raise OrderMismatch(f"orders differ: {a.order} vs {b.order}")
+
+
+_V = TypeVar("_V", bound="_IntOverDen")
+
+
+class _IntOverDen:
+    """The code of the int-over-den form that ``TruncatedSeries`` and
+    ``Polynomial`` share; each supplies ``_like`` and ``_pairs`` (module docstring)."""
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients, lowest power first, one Fraction each."""
+        den = self.den
+        return tuple([Fraction(x, den) for x in self.nums])
+
+    def _refuse(self, op: str, other: object) -> NoReturn:
+        _refuse_operand(f"{type(self).__name__}.{op}", other, type(self))
+
+    def _plus(self: _V, other: _V, sign: int, op: str) -> _V:
+        """self + sign * other over the lcm of the two denominators."""
+        if not isinstance(other, type(self)):
+            self._refuse(op, other)
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, sign * (den // other.den)
+        return self._like([x * sa + y * sb for x, y in self._pairs(other)], den)
+
+    def __add__(self: _V, other: _V) -> _V:
+        return self._plus(other, 1, "__add__")
+
+    def __sub__(self: _V, other: _V) -> _V:
+        return self._plus(other, -1, "__sub__")
+
+    # Python calls a reflected operator only after other's own __add__ or
+    # __sub__ declined, so other is never of this kind here: both refuse.
+    def __radd__(self, other: object) -> NoReturn:
+        self._refuse("__radd__", other)
+
+    def __rsub__(self, other: object) -> NoReturn:
+        self._refuse("__rsub__", other)
+
+    def __rmul__(self: _V, other: Scalar) -> _V:
+        return self.scale(other)
+
+    def scale(self: _V, c: Scalar) -> _V:
+        c = _rational(f"{type(self).__name__}.scale", "c", c)
+        p = c.numerator
+        return self._like([p * x for x in self.nums], self.den * c.denominator)
+
+
 def _series(order: int, nums: Sequence[int], den: int) -> "TruncatedSeries":
     """The series sum_k nums[k] T^k / den, den > 0, brought to lowest terms."""
     s = object.__new__(TruncatedSeries)
@@ -107,7 +171,7 @@ def _series(order: int, nums: Sequence[int], den: int) -> "TruncatedSeries":
 
 
 @dataclass(frozen=True, init=False)
-class TruncatedSeries:
+class TruncatedSeries(_IntOverDen):
     """Formal power series truncated at a fixed order.
 
     Coefficient k is nums[k] / den in the canonical form described in the
@@ -131,21 +195,20 @@ class TruncatedSeries:
             raise DomainError(
                 f"series of order {order} needs {order + 1} coefficients, got {len(cs)}"
             )
-        # Over the lcm of the denominators the numerators are already
-        # coprime to it (module docstring), so no gcd is taken.
-        den = math.lcm(*[c.denominator for c in cs])
-        self._store(order, tuple([c.numerator * (den // c.denominator) for c in cs]), den)
+        nums, den = _over_lcm(cs)
+        self._store(order, tuple(nums), den)
 
     def _store(self, order: int, nums: tuple[int, ...], den: int) -> None:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients of T^0..T^order, one Fraction each."""
-        den = self.den
-        return tuple([Fraction(x, den) for x in self.nums])
+    def _like(self, nums: Sequence[int], den: int) -> "TruncatedSeries":
+        return _series(self.order, nums, den)
+
+    def _pairs(self, other: "TruncatedSeries") -> Iterable[tuple[int, int]]:
+        _check_orders(self, other)
+        return zip(self.nums, other.nums)
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[Scalar], order: int) -> "TruncatedSeries":
@@ -193,45 +256,10 @@ class TruncatedSeries:
             raise DomainError(f"truncation order {order} outside 0..{self.order}")
         return _series(order, self.nums[: order + 1], self.den)
 
-    def _check_order(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise OrderMismatch(f"orders differ: {self.order} vs {other.order}")
-
-    def _plus(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
-        """self + sign * other over the lcm of the two denominators."""
-        self._check_order(other)
-        den = math.lcm(self.den, other.den)
-        sa, sb = den // self.den, sign * (den // other.den)
-        return _series(self.order, [x * sa + y * sb for x, y in zip(self.nums, other.nums)], den)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        _require_operand("TruncatedSeries.__add__", other, TruncatedSeries)
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        _require_operand("TruncatedSeries.__sub__", other, TruncatedSeries)
-        return self._plus(other, -1)
-
-    # Python calls a reflected operator only after other's own __add__ or
-    # __sub__ declined, so other is never a series here: both refuse.
-    def __radd__(self, other: object) -> NoReturn:
-        _refuse_operand("TruncatedSeries.__radd__", other, TruncatedSeries)
-
-    def __rsub__(self, other: object) -> NoReturn:
-        _refuse_operand("TruncatedSeries.__rsub__", other, TruncatedSeries)
-
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             return series_mul(self, other)
         return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c: Scalar) -> "TruncatedSeries":
-        c = _rational("TruncatedSeries.scale", "c", c)
-        p = c.numerator
-        return _series(self.order, [p * x for x in self.nums], self.den * c.denominator)
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -242,8 +270,7 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """
     _require_operand("series_mul", a, TruncatedSeries)
     _require_operand("series_mul", b, TruncatedSeries)
-    if a.order != b.order:
-        raise OrderMismatch(f"orders differ: {a.order} vs {b.order}")
+    _check_orders(a, b)
     return _series(a.order, _convolve(a.nums, b.nums), a.den * b.den)
 
 
@@ -279,24 +306,20 @@ def _polynomial(nums: list[int], den: int) -> "Polynomial":
     return p
 
 
-class Polynomial:
+@dataclass(frozen=True, init=False, repr=False)
+class Polynomial(_IntOverDen):
     """Univariate polynomial over the rationals, dense, lowest degree first.
 
-    Coefficient k is nums[k] / den in canonical form: den > 0,
-    gcd(den, *nums) = 1, no trailing zero numerator, and the zero
-    polynomial stored as (0,) over 1.  ``coeffs`` reads the coefficients
-    as Fractions.  Like a frozen dataclass, it refuses assignment and
-    deletion of every attribute; only ``_store`` writes, through
-    ``object.__setattr__``.
+    Coefficient k is nums[k] / den in the canonical form described in the
+    module docstring; ``coeffs`` reads the coefficients as Fractions.
     """
 
-    __slots__ = ("nums", "den")
+    nums: tuple[int, ...]
+    den: int
 
     def __init__(self, coeffs: Sequence[Scalar] = (0,)):
         require_ordered("Polynomial", "coefficients", coeffs)
-        cs = [_rational("Polynomial", "coefficient", c) for c in coeffs]
-        den = math.lcm(*[c.denominator for c in cs])
-        self._store([c.numerator * (den // c.denominator) for c in cs], den)
+        self._store(*_over_lcm([_rational("Polynomial", "coefficient", c) for c in coeffs]))
 
     def _store(self, nums: list[int], den: int) -> None:
         while len(nums) > 1 and not nums[-1]:
@@ -305,21 +328,11 @@ class Polynomial:
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, name: str, value: object) -> NoReturn:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    def _like(self, nums: list[int], den: int) -> "Polynomial":
+        return _polynomial(nums, den)
 
-    def __delattr__(self, name: str) -> NoReturn:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through _polynomial, not by assignment.
-        return _polynomial, (list(self.nums), self.den)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients of y^0..y^degree, one Fraction each."""
-        den = self.den
-        return tuple([Fraction(x, den) for x in self.nums])
+    def _pairs(self, other: "Polynomial") -> Iterable[tuple[int, int]]:
+        return zip_longest(self.nums, other.nums, fillvalue=0)
 
     @property
     def degree(self) -> int:
@@ -343,35 +356,6 @@ class Polynomial:
             qk *= q
         return Fraction(acc, qk // q * self.den)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.nums == other.nums and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.nums, self.den))
-
-    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
-        """self + sign * other over the lcm of the two denominators."""
-        den = math.lcm(self.den, other.den)
-        sa, sb = den // self.den, sign * (den // other.den)
-        return _polynomial(
-            [x * sa + y * sb for x, y in zip_longest(self.nums, other.nums, fillvalue=0)], den
-        )
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        _require_operand("Polynomial.__add__", other, Polynomial)
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        _require_operand("Polynomial.__sub__", other, Polynomial)
-        return self._plus(other, -1)
-
-    # As on TruncatedSeries: other is never a Polynomial here, so both refuse.
-    def __radd__(self, other: object) -> NoReturn:
-        _refuse_operand("Polynomial.__radd__", other, Polynomial)
-
-    def __rsub__(self, other: object) -> NoReturn:
-        _refuse_operand("Polynomial.__rsub__", other, Polynomial)
-
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
@@ -381,14 +365,6 @@ class Polynomial:
             _convolve([*a, *[0] * (len(b) - 1)], [*b, *[0] * (len(a) - 1)]),
             self.den * other.den,
         )
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c: Scalar) -> "Polynomial":
-        c = _rational("Polynomial.scale", "c", c)
-        p = c.numerator
-        return _polynomial([p * x for x in self.nums], self.den * c.denominator)
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"

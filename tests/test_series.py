@@ -454,6 +454,10 @@ class TestPolynomialStoredForm:
         assert (Polynomial([F(1, 2)]) * Polynomial([2, 4])) == Polynomial([1, 2])
         assert (Polynomial([F(1, 2)]) * Polynomial([2, 4])).den == 1
         assert q(F(-2, 3)) == F(-1, 4) + F(1, 6) * F(4, 9)
+        # equal only to a polynomial, and hashed as its stored ints
+        assert Polynomial([1]) != TruncatedSeries(0, [1])
+        assert Polynomial([1, 2]) != (1, 2)
+        assert hash(q) == hash(((-3, 0, 2), 12))
 
     def test_sigma_poly_matches_fraction_newton(self):
         # sigma_poly's consecutive integer nodes, where level k's denominator is k!
@@ -684,6 +688,55 @@ def test_reflected_operators_refuse(call, message):
     assert str(err.value) == message
 
 
+SERIES_TEXT = "TruncatedSeries(order=2, nums=(1, 0, 0), den=1)"
+POLY_TEXT = "Polynomial([Fraction(1, 1), Fraction(2, 1)])"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: POLY + ONE,
+            DomainError,
+            "Polynomial.__add__: operand must be a Polynomial, got " + SERIES_TEXT,
+        ),
+        (
+            lambda: ONE + POLY,
+            DomainError,
+            "TruncatedSeries.__add__: operand must be a TruncatedSeries, got " + POLY_TEXT,
+        ),
+        (
+            lambda: POLY - ONE,
+            DomainError,
+            "Polynomial.__sub__: operand must be a Polynomial, got " + SERIES_TEXT,
+        ),
+        (
+            lambda: POLY * ONE,
+            DomainError,
+            "Polynomial.scale: c must be an int or a Fraction, got " + SERIES_TEXT,
+        ),
+        (
+            lambda: ONE * POLY,
+            DomainError,
+            "TruncatedSeries.scale: c must be an int or a Fraction, got " + POLY_TEXT,
+        ),
+        (lambda: ONE + S([1, 2]), OrderMismatch, "orders differ: 2 vs 1"),
+    ],
+    ids=[
+        "polynomial plus series",
+        "series plus polynomial",
+        "polynomial minus series",
+        "polynomial times series",
+        "series times polynomial",
+        "series plus series of another order",
+    ],
+)
+def test_forward_operators_refuse(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize(
     "make, name",
     [
@@ -712,10 +765,15 @@ def test_a_refused_assignment_leaves_the_polynomial_usable():
     assert p(1) == 3
 
 
-def test_polynomials_copy_and_pickle():
-    p = Polynomial([F(1, 2), 0, -3])
+@pytest.mark.parametrize(
+    "p",
+    [Polynomial([F(1, 2), 0, -3]), TruncatedSeries(2, [F(1, 2), 0, -3])],
+    ids=["Polynomial", "TruncatedSeries"],
+)
+def test_values_copy_and_pickle(p):
     for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
-        assert q == p and (q.nums, q.den) == ((1, 0, -6), 2)
+        assert type(q) is type(p) and q == p and hash(q) == hash(p)
+        assert (q.nums, q.den) == ((1, 0, -6), 2)
 
 
 NOT_PAIRS = {k: v for k, v in WRONG_OPERAND_CALLS.items() if k.startswith("interpolate")}
