@@ -24,7 +24,8 @@ away: on the same nodes, every one-term shape of degree d, whatever its
 prefactor and root option, is the Vandermonde matrix (1, n, ..., n^d), and
 each two-term shape is one matrix per prefactor pair and degree.  The
 holdout check is ``Ansatz.value`` compared with the oracle, done in int:
-the basis row summed against the coefficients over their lcm, cross-
+the basis row summed against the coefficients over their lcm
+(``series._over_lcm``, the package's one such conversion), cross-
 multiplied with the oracle value's numerator and denominator, so no
 Fraction is built per point.  ``fit`` takes no nodes: it
 reads them from ``fitting_nodes``, the one node rule, so every fit has
@@ -65,9 +66,9 @@ from .moments import (
     PrintedForm,
     _int_roots,
     _odd_roots,
-    _over_lcm,
     oracle,
 )
+from .series import _over_lcm
 
 
 @dataclass(frozen=True)
@@ -163,13 +164,14 @@ def solve_exact(
 
     1. One pass over the rows validates each row and its rhs entry, makes
        them int and normalises them.  A row of ints with an int rhs is
-       taken as it is; any other row, rhs included, is multiplied by the
-       lcm of its denominators.  The row is then divided by the gcd of
-       its entries, signed so that the first nonzero entry is positive,
-       and that is its part of the cache key; the rhs becomes the reduced
-       fraction b / (that signed gcd).  A row scale moves neither the
-       solution nor which entries are zero, so the pivots, the
-       permutation and every outcome stay those of the rows as given.
+       taken as it is; any other row, rhs included, is written as ints
+       over the lcm of its denominators by ``series._over_lcm``.  The row
+       is then divided by the gcd of its entries, signed so that the
+       first nonzero entry is positive, and that is its part of the cache
+       key; the rhs becomes the reduced fraction b / (that signed gcd).
+       A row scale moves neither the solution nor which entries are
+       zero, so the pivots, the permutation and every outcome stay those
+       of the rows as given.
     2. The shape is checked after the pass: the row and rhs counts, an
        empty system, a ragged matrix, fewer rows than unknowns, in that
        order.
@@ -205,9 +207,7 @@ def solve_exact(
             for v in (*row, b):
                 if type(v) is not int and type(v) is not Fraction:
                     require_rationals("solve_exact", entry=v)
-                scale = math.lcm(scale, v.denominator)
-            row = [v.numerator * (scale // v.denominator) for v in row]
-            b = b.numerator * (scale // b.denominator)
+            (*row, b), scale = _over_lcm((*row, b))
         g = math.gcd(*row) or 1  # an all-zero row stays as it is
         for v in row:
             if v:

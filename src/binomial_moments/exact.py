@@ -32,7 +32,8 @@ HALF = Fraction(1, 2)
 def rising(x: Scalar, n: int) -> Fraction:
     """Rising factorial x(x+1)...(x+n-1), with the empty product equal to 1.
 
-    For n >= 0 and x = p/q in lowest terms this is prod_{i<n} (p + iq) / q^n.
+    For n >= 0 and x = p/q in lowest terms this is prod_{i<n} (p + iq) / q^n,
+    an int x being p/1.
 
     For n < 0 the value is extended by 1 / rising(x - |n|, |n|), the unique
     choice satisfying rising(x, a+b) = rising(x, a) * rising(x+a, b).
@@ -45,8 +46,6 @@ def rising(x: Scalar, n: int) -> Fraction:
     if type(x) is not int and type(x) is not Fraction:
         require_rationals("rising", x=x)
     if n >= 0:
-        if type(x) is int:
-            return Fraction(math.prod(range(x, x + n)))
         p, q = x.numerator, x.denominator
         return Fraction(math.prod(p + i * q for i in range(n)), q**n)
     x = Fraction(x)

@@ -29,7 +29,8 @@ one table, ``_PREFACTOR``, that gives each prefactor at n as an int pair
 ``Ansatz.basis_row`` gives the basis at n >= 1 as ints over one
 denominator from those pairs, and ``Ansatz.value`` evaluates an ansatz
 at int coefficients over one denominator from that row, building the
-one Fraction of the ansatz layer; a printed formula and a fitted
+one Fraction of the ansatz layer; the coefficients come over their lcm
+from ``series._over_lcm``.  A printed formula and a fitted
 candidate (``conjecture.ClosedFormCandidate.value_at``) are both
 evaluated through it.  How formulas are fitted lives in ``conjecture``.
 
@@ -61,7 +62,7 @@ from .errors import (
     require_rationals,
 )
 from .exact import Scalar, binomial, bracket, falling
-from .series import _poly_text
+from .series import _over_lcm, _poly_text
 from .sigma import sigma_row, sigma_row_ints, sigma_series
 
 FAMILIES = ("A", "B", "C", "D")
@@ -689,14 +690,6 @@ class Ansatz:
         return "  +  ".join(t.describe() for t in self.terms)
 
 
-def _over_lcm(coefficients: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The coefficients as int numerators over their lcm, as ``Ansatz.value`` takes them;
-    each coefficient's numerator and denominator are read once."""
-    pairs = [c.as_integer_ratio() for c in coefficients]
-    scale = math.lcm(*[q for _, q in pairs])
-    return [p * (scale // q) for p, q in pairs], scale
-
-
 def _odd_roots(count: int, first: int) -> tuple[tuple[int, int], ...]:
     """((2, -first), (2, -first-2), ...) -- denominators (2n-first)(2n-first-2)..."""
     return tuple((2, -(first + 2 * i)) for i in range(count))
@@ -796,7 +789,8 @@ class PrintedForm:
     min_n: int = 1
     points: tuple[tuple[int, int], ...] = ()
 
-    # The expected coefficients over their lcm (``_over_lcm``).
+    # The expected coefficients over their lcm (``series._over_lcm``), as
+    # ``Ansatz.value`` takes them.
     _coeffs: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _scale: int = field(init=False, repr=False, compare=False)
 

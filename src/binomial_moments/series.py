@@ -32,8 +32,11 @@ base class ``_IntOverDen`` holds the code of this form that both share
 supplies two hooks: ``_like`` builds a canonical value of its own kind,
 and ``_pairs`` pairs two numerator lists (``zip`` after the one order
 check ``_check_orders`` for a series, ``zip_longest`` for a polynomial).
-Both constructors write their coefficients over their lcm in
-``_over_lcm``.  The arithmetic stays in int and divides out one gcd per
+``_over_lcm`` is the package's one conversion of ints and Fractions to
+int numerators over their lcm: both constructors, the nodes and values
+of ``poly_interpolate``, the coefficients of ``moments``' printed forms
+and of ``conjecture``'s candidates, and ``solve_exact``'s non-int rows
+go through it.  The arithmetic stays in int and divides out one gcd per
 result, in the one lowest-terms step ``_lowest`` (Knuth, TAOCP Vol. 2,
 4.5.1): ``+`` and ``-`` rescale to the lcm of the two denominators,
 ``scale`` multiplies in the scalar's numerator and denominator, products
@@ -105,10 +108,17 @@ def _lowest(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(nums), den
 
 
-def _over_lcm(cs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The Fractions cs as int numerators over their lcm, no gcd taken (module docstring)."""
-    den = math.lcm(*[c.denominator for c in cs])
-    return [c.numerator * (den // c.denominator) for c in cs], den
+def _over_lcm(cs: Iterable[Scalar]) -> tuple[list[int], int]:
+    """The ints and Fractions cs as int numerators over their lcm, no gcd
+    taken, each read once; ([], 1) for none (module docstring)."""
+    pairs = [c.as_integer_ratio() for c in cs]
+    den = math.lcm(*[q for _, q in pairs])
+    return [p * (den // q) for p, q in pairs], den
+
+
+def _require_order(order: int) -> None:
+    if order < 0:
+        raise DomainError(f"series order must be >= 0, got {order}")
 
 
 def _check_orders(a: "TruncatedSeries", b: "TruncatedSeries") -> None:
@@ -185,12 +195,9 @@ class TruncatedSeries(_IntOverDen):
     def __init__(self, order: int, coeffs: Iterable[Scalar]) -> None:
         if type(order) is not int:
             require_ints("TruncatedSeries", order=order)
-        cs = coeffs
-        if type(cs) is not tuple or not all(type(c) is Fraction for c in cs):
-            require_ordered("TruncatedSeries", "coefficients", cs)
-            cs = tuple(_rational("TruncatedSeries", "coefficient", c) for c in cs)
-        if order < 0:
-            raise DomainError(f"series order must be >= 0, got {order}")
+        require_ordered("TruncatedSeries", "coefficients", coeffs)
+        cs = [_rational("TruncatedSeries", "coefficient", c) for c in coeffs]
+        _require_order(order)
         if len(cs) != order + 1:
             raise DomainError(
                 f"series of order {order} needs {order + 1} coefficients, got {len(cs)}"
@@ -220,7 +227,7 @@ class TruncatedSeries(_IntOverDen):
         if len(cs) > order + 1:
             cs = cs[: order + 1]
         cs += [Fraction(0)] * (order + 1 - len(cs))
-        return cls(order, tuple(cs))
+        return cls(order, cs)
 
     @classmethod
     def constant(cls, c: Scalar, order: int) -> "TruncatedSeries":
@@ -233,8 +240,7 @@ class TruncatedSeries(_IntOverDen):
             require_ints("TruncatedSeries.monomial", k=k, order=order)
         if k < 0:
             raise DomainError(f"monomial exponent must be >= 0, got {k}")
-        if order < 0:
-            raise DomainError(f"series order must be >= 0, got {order}")
+        _require_order(order)
         nums = [0] * (order + 1)
         if k <= order:
             nums[k] = 1
@@ -293,8 +299,7 @@ def geometric(c: Scalar, order: int) -> TruncatedSeries:
     if type(order) is not int:
         require_ints("geometric", order=order)
     c = _rational("geometric", "c", c)
-    if order < 0:
-        raise DomainError(f"series order must be >= 0, got {order}")
+    _require_order(order)
     p, q = c.numerator, c.denominator
     return _series(order, [p**k * q ** (order - k) for k in range(order + 1)], q**order)
 
@@ -437,13 +442,10 @@ def poly_interpolate(
     if len(pts) < need:
         raise DomainError(f"need at least {need} points for degree bound {degree_bound}")
 
-    base = pts[:need]
-    s = math.lcm(*[x.denominator for x, _ in base])
-    xs = [x.numerator * (s // x.denominator) for x, _ in base]
-    den = math.lcm(*[y.denominator for _, y in base])
+    xs, s = _over_lcm([x for x, _ in pts[:need]])
     # Newton divided-difference table, one diagonal at a time; nums[k]
     # ends as N_k over dens[k] = D_k.
-    nums = [y.numerator * (den // y.denominator) for _, y in base]
+    nums, den = _over_lcm([y for _, y in pts[:need]])
     dens = [den]
     for level in range(1, need):
         gaps = [xs[i] - xs[i - level] for i in range(level, need)]

@@ -203,7 +203,69 @@ def coeff_pair(order):
     return st.tuples(coeffs, coeffs)
 
 
+over_lcm_values = st.lists(
+    st.one_of(
+        st.just(0),
+        st.integers(-(10**6), 10**6),
+        st.fractions(min_value=-9, max_value=9, max_denominator=6),
+        st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4),
+    ),
+    max_size=12,
+)
+
+
+class TestOverLcm:
+    @given(cs=over_lcm_values)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_reference(self, cs):
+        nums, den = series._over_lcm(cs)
+        assert type(nums) is list and all(type(x) is int for x in nums)
+        assert den == math.lcm(*[F(c).denominator for c in cs])
+        assert [F(x, den) for x in nums] == [F(c) for c in cs]
+
+    def test_examples(self):
+        assert series._over_lcm([]) == ([], 1)
+        assert series._over_lcm((F(1, 2), -1, F(-1, 3), 0)) == ([3, -6, -2, 0], 6)
+        assert series._over_lcm(iter([F(2, 4), F(1, 4)])) == ([2, 1], 4)
+
+
 class TestStoredForm:
+    def test_constructor_stores_one_form_for_every_iterable(self):
+        ints, halves = [-1, 0, 1], [F(1, 2), F(-1, 3), 5]
+        for cs in (ints, tuple(ints), tuple(map(F, ints)), range(-1, 2), (c for c in ints)):
+            s = TruncatedSeries(2, cs)
+            assert (s.order, s.nums, s.den) == (2, (-1, 0, 1), 1)
+        for cs in (halves, tuple(halves), (c for c in halves)):
+            s = TruncatedSeries(2, cs)
+            assert (s.order, s.nums, s.den) == (2, (3, -2, 30), 6)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: TruncatedSeries(-1, [1]), "series order must be >= 0, got -1"),
+            (lambda: TruncatedSeries(-2, []), "series order must be >= 0, got -2"),
+            (lambda: TruncatedSeries.from_coeffs([1], -1), "series order must be >= 0, got -1"),
+            (lambda: TruncatedSeries.monomial(1, -1), "series order must be >= 0, got -1"),
+            (lambda: geometric(F(1, 2), -3), "series order must be >= 0, got -3"),
+            # with two faults, the order is checked last
+            (
+                lambda: TruncatedSeries(-1, "ab"),
+                "TruncatedSeries: coefficients must be an ordered iterable "
+                "(not a mapping, set, str or bytes), got 'ab'",
+            ),
+            (
+                lambda: TruncatedSeries(-1, [1.5]),
+                "TruncatedSeries: coefficient must be an int or a Fraction, got 1.5",
+            ),
+            (lambda: TruncatedSeries.monomial(-1, -1), "monomial exponent must be >= 0, got -1"),
+            (lambda: geometric(1.5, -1), "geometric: c must be an int or a Fraction, got 1.5"),
+        ],
+    )
+    def test_negative_order_message_and_precedence(self, call, message):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
+
     @given(cc=st.integers(0, 10).flatmap(coeff_pair), c=wide_scalar)
     @settings(max_examples=150, deadline=None)
     def test_arithmetic_matches_fraction_reference(self, cc, c):
