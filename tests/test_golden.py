@@ -129,6 +129,12 @@ def test_flagship_verify_report(capsys):
     assert out == (GOLDEN / "verify_m8_n30_seed0.json").read_bytes()
 
 
+def test_verify_report_past_flagship(capsys):
+    # m = 12 pins the sigma routes where their ints are wider than at the flagship.
+    out = stdout_of(capsys, "verify", "--m-max", "12", "--n-max", "12", "--seed", "0")
+    assert out == (GOLDEN / "verify_m12_n12_seed0.json").read_bytes()
+
+
 @pytest.mark.parametrize("method", ["oracle", "theorem", "corollary"])
 def test_value_table(capsys, method):
     argv = ("table", "--m-max", "8", "--n-max", "30", "--methods", method, "--format", "csv")
