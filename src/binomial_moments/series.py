@@ -47,10 +47,12 @@ when a coefficient or a value is read.
 
 The convolution is the one int kernel, ``_convolve``, which takes plain
 int lists and checks nothing: ``series_mul`` calls it on the numerators
-of two checked series, ``Polynomial`` on its numerators zero-padded to
+of two checked series and ``Polynomial`` on its numerators zero-padded to
 the product's length, so the truncated product is the whole one, and
-``sigma`` calls it directly on int lists it has built, so all three run
-the same Cauchy product.
+both run the same Cauchy product.  ``sigma``'s series route does not
+call it: it packs its running product into one int (``sigma`` module
+docstring), so the tests' product of ``geometric`` series by
+``series_mul`` checks that route independently.
 
 ``poly_interpolate`` runs Newton's divided differences fraction-free:
 with the nodes as ints over their lcm, each level of the table has one
@@ -88,6 +90,19 @@ def _rational(where: str, name: str, v: Scalar) -> Fraction:
     if type(v) is not int:
         require_rationals(where, **{name: v})
     return Fraction(v)
+
+
+def _coefficients(where: str, coeffs: Iterable[Scalar]) -> list[Scalar]:
+    """The ordered iterable coeffs as a list, each value checked once to be
+    an int or a Fraction and none converted; DomainError naming coeffs, or
+    the first value that is neither."""
+    require_ordered(where, "coefficients", coeffs)
+    cs = []
+    for c in coeffs:
+        if type(c) is not int and type(c) is not Fraction:
+            require_rationals(where, coefficient=c)
+        cs.append(c)
+    return cs
 
 
 def _refuse_operand(where: str, other: object, cls: type) -> NoReturn:
@@ -195,8 +210,7 @@ class TruncatedSeries(_IntOverDen):
     def __init__(self, order: int, coeffs: Iterable[Scalar]) -> None:
         if type(order) is not int:
             require_ints("TruncatedSeries", order=order)
-        require_ordered("TruncatedSeries", "coefficients", coeffs)
-        cs = [_rational("TruncatedSeries", "coefficient", c) for c in coeffs]
+        cs = _coefficients("TruncatedSeries", coeffs)
         _require_order(order)
         if len(cs) != order + 1:
             raise DomainError(
@@ -219,15 +233,13 @@ class TruncatedSeries(_IntOverDen):
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[Scalar], order: int) -> "TruncatedSeries":
-        """Build a series from a coefficient sequence, padding with zeros."""
+        """Build a series from a coefficient sequence, cut at the order or
+        padded with zeros."""
         if type(order) is not int:
             require_ints("TruncatedSeries.from_coeffs", order=order)
-        require_ordered("TruncatedSeries.from_coeffs", "coefficients", coeffs)
-        cs = [_rational("TruncatedSeries.from_coeffs", "coefficient", c) for c in coeffs]
-        if len(cs) > order + 1:
-            cs = cs[: order + 1]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        return cls(order, cs)
+        cs = _coefficients("TruncatedSeries.from_coeffs", coeffs)[: order + 1]
+        _require_order(order)
+        return _series(order, *_over_lcm(cs + [0] * (order + 1 - len(cs))))
 
     @classmethod
     def constant(cls, c: Scalar, order: int) -> "TruncatedSeries":
@@ -323,8 +335,7 @@ class Polynomial(_IntOverDen):
     den: int
 
     def __init__(self, coeffs: Sequence[Scalar] = (0,)):
-        require_ordered("Polynomial", "coefficients", coeffs)
-        self._store(*_over_lcm([_rational("Polynomial", "coefficient", c) for c in coeffs]))
+        self._store(*_over_lcm(_coefficients("Polynomial", coeffs)))
 
     def _store(self, nums: list[int], den: int) -> None:
         while len(nums) > 1 and not nums[-1]:

@@ -20,12 +20,21 @@ by the verify command, and with ``sigma_row`` by the tests.
 product of geometric series, because its callers read every l at one y.
 For y = p/q in lowest terms factor j is 1/(1 - T s_j / q^2), s_j =
 (p - jq)^2, so coefficient k of the product over j <= l is the complete
-homogeneous H_k(s_0, ..., s_l) / q^(2k).  The running product is one int
-list of H_k, cut to order m - l since entry l reads only its T^(m-l)
-coefficient; factor l's powers s_l^k enter by the series layer's int
-convolution ``_convolve``, the Cauchy product of ``series_mul``, so no
-series, gcd or Fraction is made per factor, only one Fraction per entry.
-It stays a product by convolution, kept apart from ``sigma_row``'s recurrence.
+homogeneous H_k(s_0, ..., s_l) / q^(2k), and entry l is
+H_(m-l) / q^(2(m-l)).  The running product of the H_k is packed into one
+int, the series evaluated at T = X = 2^b (Kronecker substitution;
+Schoenhage, EUROCAM 1982), so each factor is one big-int product done in
+C, not a loop over coefficients.  Evaluation at X maps a product of
+series to the product of their values, and every coefficient is
+nonnegative, so the product over j <= l reduced modulo X^(m-l+1) is
+exactly sum_(k<=m-l) H_k X^k whenever each of those H_k is below X.
+The width b = m * bitlen(S) + m + 1, S the largest s_j, ensures that for
+every digit the row reads: H_k(s_0, ..., s_l) is a sum of C(k+l, l)
+monomials of degree k, each at most S^k, and k + l <= m, so
+H_k <= 2^(k+l) S^k <= 2^m 2^(m bitlen(S)) = 2^(b-1) < X.  The packed
+product stays a product of series, one factor per shift; it is not
+``sigma_row``'s recurrence h_k += s h_(k-1) in the H_k, so the two
+routes share no code and a fault in either shows as a disagreement.
 
 ``sigma_monomial`` and ``sigma_explicit`` sum in int over a common
 denominator and build one Fraction at the end, not one per product.
@@ -46,7 +55,7 @@ from itertools import combinations_with_replacement
 
 from .errors import DenominatorPole, DomainError, require_ints, require_rationals
 from .exact import Scalar
-from .series import Polynomial, _convolve, poly_interpolate
+from .series import Polynomial, poly_interpolate
 
 
 def _check_args(m: int, ell: int, y: Scalar = 0) -> None:
@@ -84,9 +93,11 @@ def sigma_row_ints(m: int, y: Scalar) -> tuple[tuple[int, ...], int]:
 
 # sigma_row_ints and sigma_series check their arguments before the cache
 # sees them, so no warm entry answers True or 2.0 and an unhashable y
-# raises DomainError.  Both caches hold one row per (m, y); 4096 rows sit
-# above the peaks of flagship verify (862 sigma_series rows) and of the
-# m <= 16, n <= 60 table (1080 sigma_row rows).
+# raises DomainError.  Both caches hold one row per (m, y), keyed
+# (m, y) for sigma_row and (m, p, q) with y = p/q in lowest terms for
+# sigma_series; 4096 rows sit above the peaks of flagship verify (862
+# sigma_series rows) and of the m <= 16, n <= 60 table (1080 sigma_row
+# rows).
 @lru_cache(maxsize=4096)
 def _sigma_row(m: int, y: Scalar) -> tuple[tuple[int, ...], int]:
     p, q = y.numerator, y.denominator
@@ -104,20 +115,26 @@ def _sigma_row(m: int, y: Scalar) -> tuple[tuple[int, ...], int]:
 def sigma_series(m: int, ell: int, y: Scalar) -> Fraction:
     """[T^(m-l)] of the truncated product of geometric((y-j)^2) for j = 0..l."""
     _check_args(m, ell, y=y)
-    return _sigma_series(m, y)[ell]
+    return _sigma_series(m, y.numerator, y.denominator)[ell]
 
 
 @lru_cache(maxsize=4096)
-def _sigma_series(m: int, y: Scalar) -> tuple[Fraction, ...]:
-    # After factor l, h holds H_0..H_{m-l}(s_0, ..., s_l), s_j = (p - jq)^2
-    # as in the module docstring, and entry l is H_{m-l} / q^(2(m-l)).
-    p, q = y.numerator, y.denominator
-    h = [1] + [0] * m  # the empty product
-    row = []
-    for ell in range(m + 1):
-        s = (p - ell * q) ** 2
-        h = _convolve(h[: m - ell + 1], [s**k for k in range(m - ell + 1)])
-        row.append(Fraction(h[-1], q ** (2 * (m - ell))))
+def _sigma_series(m: int, p: int, q: int) -> tuple[Fraction, ...]:
+    """The row (sigma_{m,l}(p/q))_{l=0..m} from the packed product of the
+    module docstring: prod holds H_0..H_(m-l) after factor l, digit k at
+    bit b*k.  Factor l truncated to order L = m - l is the geometric sum
+    of x = s_l X, (x^(L+1) - 1) / (x - 1), so prod * (x^(L+1) - 1) divides
+    exactly by x - 1; the digits above L are cut off after each factor,
+    and a zero shift is the factor 1."""
+    shifts = [(p - j * q) ** 2 for j in range(m + 1)]
+    b = m * max(shifts).bit_length() + m + 1
+    prod, row = 1, []  # the empty product
+    for ell, s in enumerate(shifts):
+        top = m - ell
+        if s:
+            prod = ((prod * s ** (top + 1) << b * (top + 1)) - prod) // ((s << b) - 1)
+        prod &= (1 << b * (top + 1)) - 1
+        row.append(Fraction(prod >> b * top, q ** (2 * top)))
     return tuple(row)
 
 

@@ -239,6 +239,28 @@ class TestStoredForm:
             s = TruncatedSeries(2, cs)
             assert (s.order, s.nums, s.den) == (2, (3, -2, 30), 6)
 
+    def test_constant_stores_ints(self):
+        s = TruncatedSeries.constant(3, 2)
+        assert (s.nums, s.den) == ((3, 0, 0), 1)
+        assert all(type(x) is int for x in s.nums)
+
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            ([1, 1.5], "coefficient must be an int or a Fraction, got 1.5"),
+            ([F(1, 2), True], "coefficient must be an int or a Fraction, got True"),
+            (
+                {1: 2},
+                "coefficients must be an ordered iterable "
+                "(not a mapping, set, str or bytes), got {1: 2}",
+            ),
+        ],
+    )
+    def test_from_coeffs_refusal_text(self, coeffs, message):
+        with pytest.raises(DomainError) as info:
+            TruncatedSeries.from_coeffs(coeffs, 2)
+        assert str(info.value) == f"TruncatedSeries.from_coeffs: {message}"
+
     @pytest.mark.parametrize(
         "call, message",
         [
@@ -643,10 +665,11 @@ def test_geometric_refuses_negative_orders(c, order):
         geometric(c, order)
 
 
-def test_int_convolution_is_read_only_by_sigma():
+def test_int_convolution_is_private_to_series():
+    # sigma's packed product is checked against series_mul, so it must not share its kernel
     package = pathlib.Path(series.__file__).parent
     readers = [p.stem for p in sorted(package.glob("*.py")) if "_convolve" in p.read_text()]
-    assert readers == ["series", "sigma"]
+    assert readers == ["series"]
 
 
 POLY = Polynomial([1, 2])

@@ -148,6 +148,14 @@ def test_series_caches_one_row_per_m_and_y():
     assert (info.currsize, info.misses) == (1, 1)
 
 
+def test_series_cache_keys_y_in_lowest_terms():
+    sigma._sigma_series.cache_clear()
+    rows = [tuple(sigma_series(3, ell, y) for ell in range(4)) for y in (5, F(5), F(10, 2))]
+    assert rows == [(15625, 1281, 50, 1)] * 3
+    info = sigma._sigma_series.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 11)
+
+
 def test_cross_check_routes_do_not_read_sigma_row(monkeypatch):
     def refuse(*args):
         raise AssertionError("a cross-check route read sigma_row")
@@ -180,6 +188,25 @@ def series_reference(m, y):
         prod = series_mul(prod.truncate(m - j), geometric((y - j) ** 2, m - j))
         row.append(prod.coefficient(m - j))
     return tuple(row)
+
+
+@given(m=st.integers(0, 24), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_packed_series_row_matches_series_reference(m, data):
+    # y = 0, an int in 0..m (one shift is 0, so that factor is skipped), a
+    # half-integer, or p/q wide enough that the packed digits run to
+    # thousands of bits
+    y = data.draw(
+        st.one_of(
+            st.just(0),
+            st.integers(0, m),
+            st.integers(-(2 * m + 1), 2 * m + 1).map(lambda k: F(k, 2)),
+            st.builds(F, st.integers(-(10**9), 10**9), st.integers(1, 10**4)),
+        )
+    )
+    row = tuple(sigma_series(m, ell, y) for ell in range(m + 1))
+    assert row == series_reference(m, y)
+    assert all(type(v) is Fraction for v in row)
 
 
 def monomial_reference(m, ell, y):
