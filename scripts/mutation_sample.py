@@ -40,13 +40,16 @@ PACKAGE = Path("src") / "binomial_moments"
 SEED = 2025
 MUTANTS = 40
 
-# Each module and the test file that is its own.
+# Each module and the test file that is its own; verify and cli share the
+# CLI tests, which run the verify checks through ``moments verify``.
 TESTS = {
     "exact": "tests/test_exact.py",
     "series": "tests/test_series.py",
     "sigma": "tests/test_sigma.py",
     "moments": "tests/test_moments.py",
     "conjecture": "tests/test_conjecture.py",
+    "verify": "tests/test_cli.py",
+    "cli": "tests/test_cli.py",
 }
 
 SWAPS = {

@@ -60,6 +60,7 @@ from .errors import (
 )
 from .moments import (
     COROLLARIES,
+    FAMILIES,
     Ansatz,
     AnsatzTerm,
     MomentQuery,
@@ -68,7 +69,7 @@ from .moments import (
     _odd_roots,
     oracle,
 )
-from .series import _over_lcm
+from .series import _coefficients, _over_lcm
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,32 @@ class ClosedFormCandidate:
     verified_on: tuple[int, ...]
     status: str  # verified | refuted
     first_mismatch: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        """Each field checked once, type tests first; DomainError names the
+        first that is malformed.  The coefficients are ints or Fractions,
+        one per unknown of the ansatz, so no float reaches ``value_at``."""
+        where, ansatz, cs = "ClosedFormCandidate", self.ansatz, self.coefficients
+        if self.family not in FAMILIES:
+            raise DomainError(f"{where}: family must be one of {FAMILIES}, got {self.family!r}")
+        if type(self.power) is not int:
+            require_ints(where, power=self.power)
+        if type(ansatz) is not Ansatz:
+            raise DomainError(f"{where}: ansatz must be an Ansatz, got {ansatz!r}")
+        if type(cs) is not tuple or len(_coefficients(where, cs)) != ansatz.unknowns:
+            raise DomainError(f"{where}: needs a tuple of {ansatz.unknowns} coefficients, got {cs!r}")
+        fitted, verified = self.fitted_on, self.verified_on
+        if type(fitted) is not tuple or type(verified) is not tuple or not set(
+            map(type, fitted + verified)
+        ) <= {int}:
+            raise DomainError(
+                f"{where}: fitted_on and verified_on must be tuples of ints, "
+                f"got {fitted!r} and {verified!r}"
+            )
+        if self.status not in ("verified", "refuted"):
+            raise DomainError(f"{where}: status must be verified or refuted, got {self.status!r}")
+        if self.first_mismatch is not None and type(self.first_mismatch) is not int:
+            require_ints(where, first_mismatch=self.first_mismatch)
 
     def value_at(self, n: int) -> Fraction:
         """The candidate at n, through ``Ansatz.value`` with the coefficients over their lcm."""

@@ -49,7 +49,7 @@ from collections import abc
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DomainError,
@@ -198,15 +198,25 @@ def _split(
 # from falling(2n - 1/2, 2l), (1/2)_l (1/2)_{l+1} and q^(2(t-l)) combine
 # into one power of 2 per form, and the bracket and linear denominators
 # are folded into a running denominator.  The row is total in y, so no
-# pole bookkeeping is needed here.
+# pole bookkeeping is needed here.  Each form refuses outside its own
+# identity: the even ones at t = 0, odd C at n <= t + 1.  ``closed_form``
+# only dispatches.
 # ---------------------------------------------------------------------------
 
 
-def _check_half_exponent(where: str, t: int, n: int) -> None:
+def _check_half_exponent(where: str, t: int, n: int, even: bool = False) -> None:
+    """Refuse a non-int t or n, then t < 0 or n < 1 (DomainError), then, for
+    an even-power form, t = 0: the identities symmetrise the sum over
+    -n..n, which drops the k = 0 term only when the power is positive."""
     if type(t) is not int or type(n) is not int:
         require_ints(where, t=t, n=n)
     if t < 0 or n < 1:
         raise DomainError(f"{where} requires t >= 0 and n >= 1, got t={t}, n={n}")
+    if even and t == 0:
+        raise PreconditionViolated(
+            "even-power closed forms require exponent >= 2 "
+            "(the k = 0 term of the symmetrised sum vanishes only then)"
+        )
 
 
 def _bracket_ints(upper: int, lower: int) -> tuple[int, int]:
@@ -219,9 +229,10 @@ def _bracket_ints(upper: int, lower: int) -> tuple[int, int]:
     return b.numerator, b.denominator
 
 
-def _diagonal_brackets(n: int, t: int) -> list[tuple[int, int]]:
-    """The diagonal brackets [2n-2l, n-l] for l = 0..t, as int pairs
-    (num, den) not in lowest terms.
+def _diagonal_brackets(n: int, t: int) -> Iterator[tuple[int, int, int]]:
+    """For l = 0..t, (F_l, num, den): F_l = prod_{i<2l} (4n-1-2i), so that
+    falling(2n-1/2, 2l) = F_l / 4^l, and the diagonal bracket
+    [2n-2l, n-l] = num / den as an int pair not in lowest terms.
 
     [2n, n] comes once from ``_bracket_ints``; each next bracket is one
     step down the diagonal.  With u = n - l and [2u, u] = (1/2)_{2u} / (1/2)_u^2,
@@ -229,16 +240,14 @@ def _diagonal_brackets(n: int, t: int) -> list[tuple[int, int]]:
     [2u-2, u-1] = [2u, u] (2u-1)^2 / ((4u-1)(4u-3)).  The rule holds for
     every integer j in the extension to negative indices, so the step also
     holds for u <= 0 (odd D reaches it when n <= t), and (4u-1)(4u-3) is
-    never 0.  Each step multiplies by small ints only; ``_sum_over`` folds
-    the growing denominators by lcm.
+    never 0.  It is also F_{l+1} / F_l, so F_l and the denominators grow
+    by the same small ints; ``_sum_over`` folds the denominators by lcm.
     """
-    num, den = _bracket_ints(2 * n, n)
-    out = [(num, den)]
-    for u in range(n, n - t, -1):
-        num *= (2 * u - 1) ** 2
-        den *= (4 * u - 1) * (4 * u - 3)
-        out.append((num, den))
-    return out
+    f, (num, den) = 1, _bracket_ints(2 * n, n)
+    for u in range(n, n - t - 1, -1):
+        yield f, num, den
+        step = (4 * u - 1) * (4 * u - 3)
+        f, num, den = f * step, num * (2 * u - 1) ** 2, den * step
 
 
 def _sum_over(terms: Iterable[tuple[int, int]], scale: int) -> Fraction:
@@ -257,9 +266,10 @@ def even_moment_a(t: int, n: int) -> Fraction:
     """A_{2t}(n) = sum_l (-1)^l 2^(2n-2l-1) falling(2n, 2l) sigma_{t,l}(n), t >= 1.
 
     Summed as ints 4^(n-l) falling(2n, 2l) sigma_{t,l}(n) over 2; the terms
-    with l > n vanish.
+    with l > n vanish.  At t = 0, outside the identity, it raises
+    PreconditionViolated.
     """
-    _check_half_exponent("even_moment_a", t, n)
+    _check_half_exponent("even_moment_a", t, n, even=True)
     row, _ = sigma_row_ints(t, n)
     total = 0
     for ell in range(min(t, n) + 1):
@@ -287,9 +297,9 @@ def even_moment_b(t: int, n: int) -> Fraction:
 
     C(l, 2n-l) vanishes unless n <= l <= 2n, so every summand vanishes for
     n > t, which is the vanishing phenomenon the verify command checks on
-    a grid.
+    a grid.  At t = 0, outside the identity, it raises PreconditionViolated.
     """
-    _check_half_exponent("even_moment_b", t, n)
+    _check_half_exponent("even_moment_b", t, n, even=True)
     row, _ = sigma_row_ints(t, n)
     total = 0
     for ell in range(n, min(t, 2 * n) + 1):
@@ -333,8 +343,9 @@ def even_moment_c(t: int, n: int, global_sign: bool = True) -> Fraction:
 
     With (1/2)_l = (2l-1)!! / 2^l and sigma_{t,l}(y) = S_l / 4^(t-l), every
     summand is (2l-1)!! (2l+1)!! S_l [2n, l] / (2n-2l-1) over 2^(2t+1).
+    At t = 0, outside the identity, it raises PreconditionViolated.
     """
-    _check_half_exponent("even_moment_c", t, n)
+    _check_half_exponent("even_moment_c", t, n, even=True)
     row, _ = sigma_row_ints(t, Fraction(2 * n - 1, 2))
 
     def terms():
@@ -362,10 +373,11 @@ def odd_moment_c(t: int, n: int, shifted_sigma: bool = True) -> Fraction:
 
     falling(2n-1/2, 2l) = F_l / 4^l with F_l = prod_{i<2l} (4n-1-2i), and
     sigma_{t,l}(y) = S_l / q^(2(t-l)) with q = 2 or 1, so with c = 2/q every
-    summand carries c^(2(t-l)) over the common 8 * 4^t.  The diagonal
-    brackets [2n-2l, n-l] come from ``_diagonal_brackets``: [2n, n] once,
-    then one exact step of small int factors per l.  [2n-2l, -l] is a
-    product of l small factors (see ``exact.bracket``).
+    summand carries c^(2(t-l)) over the common 8 * 4^t.  F_l and the
+    diagonal brackets [2n-2l, n-l] come together from
+    ``_diagonal_brackets``: [2n, n] once, then one exact step of small int
+    factors per l.  [2n-2l, -l] is a product of l small factors (see
+    ``exact.bracket``).
     """
     _check_half_exponent("odd_moment_c", t, n)
     if n <= t + 1:
@@ -376,14 +388,12 @@ def odd_moment_c(t: int, n: int, shifted_sigma: bool = True) -> Fraction:
     sign_n = -1 if n % 2 else 1
 
     def terms():
-        f = 1  # F_l
-        for ell, (an, ad) in enumerate(_diagonal_brackets(n, t)):
+        for ell, (f, an, ad) in enumerate(_diagonal_brackets(n, t)):
             bn, bd = _bracket_ints(2 * n - 2 * ell, -ell)
             inner = (2 * n - 2 * ell - 1) * an * bd
             inner += sign_n * (2 * n + 1) * (2 * ell + 1) * bn * ad
             num = f * inner * row[ell] * c2 ** (t - ell)
             yield -num if ell % 2 else num, ad * bd * (n - ell - 1)
-            f *= (4 * n - 1 - 4 * ell) * (4 * n - 3 - 4 * ell)
 
     return _sum_over(terms(), 8 << 2 * t)
 
@@ -398,16 +408,15 @@ def odd_moment_d(t: int, n: int, sign_first_term_only: bool = True) -> Fraction:
 
     falling(2n-1/2, 2l) = F_l / 4^l with F_l = prod_{i<2l} (4n-1-2i) and
     sigma_{t,l}(n-1/2) = S_l / 4^(t-l), so every summand is over 4^(t+1).
-    The diagonal brackets [2n-2l, n-l] come from ``_diagonal_brackets``:
-    [2n, n] once, then one exact step of small int factors per l, also
-    past the diagonal's origin (n - l <= 0) when n <= t.
+    F_l and the diagonal brackets [2n-2l, n-l] come together from
+    ``_diagonal_brackets``: [2n, n] once, then one exact step of small int
+    factors per l, also past the diagonal's origin (n - l <= 0) when n <= t.
     """
     _check_half_exponent("odd_moment_d", t, n)
     row, _ = sigma_row_ints(t, Fraction(2 * n - 1, 2))
 
     def terms():
-        f = 1  # F_l
-        for ell, (an, ad) in enumerate(_diagonal_brackets(n, t)):
+        for ell, (f, an, ad) in enumerate(_diagonal_brackets(n, t)):
             bn, bd = _bracket_ints(2 * n - ell, ell)
             first = (2 * n - 2 * ell - 1) * an * bn
             second = (2 * ell + 1) * bd * ad
@@ -416,42 +425,38 @@ def odd_moment_d(t: int, n: int, sign_first_term_only: bool = True) -> Fraction:
                 if not sign_first_term_only:
                     second = -second
             yield f * (first + second) * row[ell], ad * bn
-            f *= (4 * n - 1 - 4 * ell) * (4 * n - 3 - 4 * ell)
 
     return _sum_over(terms(), 4 << 2 * t)
 
 
 def closed_form(q: MomentQuery) -> EvalResult:
-    """Dispatch to the family/parity closed form, with validity guards.
+    """Dispatch to the family/parity closed form, with its validity note.
 
-    The even-power identities need exponent >= 2: they symmetrise the sum
-    over -n..n, which only eliminates the k = 0 term when the power is
-    positive.  Odd C needs n > t + 1 (denominators n - l - 1).  Even D has
-    no known closed form and raises NoClosedFormKnown.
+    Each form refuses outside its own identity: the even-power forms raise
+    PreconditionViolated at exponent 0, and odd C when n <= t + 1.  The
+    one refusal made here is even D, which has no known closed form and
+    raises NoClosedFormKnown.  The table is built at call time from the
+    module's names, so a function patched into the module is the one
+    called.
     """
     if not isinstance(q, MomentQuery):
         raise DomainError(f"closed_form needs a MomentQuery, got {q!r}")
-    f, m, n = q.family, q.m, q.n
-    if m % 2 == 0:
-        t = m // 2
-        if f == "D":
-            raise NoClosedFormKnown(
-                "no closed form is known for even-power D moments; the case is open"
-            )
-        if t == 0:
-            raise PreconditionViolated(
-                "even-power closed forms require exponent >= 2 "
-                "(the k = 0 term of the symmetrised sum vanishes only then)"
-            )
-        note = "even-power identity, valid for exponent >= 2"
-        value = {"A": even_moment_a, "B": even_moment_b, "C": even_moment_c}[f](t, n)
-        return EvalResult(value, "theorem", note)
-    t = (m - 1) // 2
-    if f == "C":
-        value = odd_moment_c(t, n)  # raises PreconditionViolated when n <= t + 1
-        return EvalResult(value, "theorem", f"valid for n > {t + 1}")
-    value = {"A": odd_moment_a, "B": odd_moment_b, "D": odd_moment_d}[f](t, n)
-    return EvalResult(value, "theorem", None)
+    f, (t, odd) = q.family, divmod(q.m, 2)
+    if (f, odd) == ("D", 0):
+        raise NoClosedFormKnown(
+            "no closed form is known for even-power D moments; the case is open"
+        )
+    even = "even-power identity, valid for exponent >= 2"
+    form, note = {
+        ("A", 0): (even_moment_a, even),
+        ("B", 0): (even_moment_b, even),
+        ("C", 0): (even_moment_c, even),
+        ("A", 1): (odd_moment_a, None),
+        ("B", 1): (odd_moment_b, None),
+        ("C", 1): (odd_moment_c, f"valid for n > {t + 1}"),
+        ("D", 1): (odd_moment_d, None),
+    }[f, odd]
+    return EvalResult(form(t, q.n), "theorem", note)
 
 
 # ---------------------------------------------------------------------------
@@ -795,13 +800,39 @@ class PrintedForm:
     _scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        """Each field checked once, type tests first; DomainError names the
+        first that is malformed.  Numerators, denominators and points hold
+        ints only, so no float reaches ``value`` or ``latex``."""
+        label, nums, dens, points = self.label, self.numerators, self.denominators, self.points
+        if self.family not in FAMILIES:
+            raise DomainError(f"{label}: family must be one of {FAMILIES}, got {self.family!r}")
+        if type(self.ansatz) is not Ansatz:
+            raise DomainError(f"{label}: ansatz must be an Ansatz, got {self.ansatz!r}")
+        if type(nums) is not tuple or any(type(num) is not tuple for num in nums):
+            raise DomainError(f"{label}: numerators must be a tuple of tuples, got {nums!r}")
+        if type(points) is not tuple or any(type(p) is not tuple or len(p) != 2 for p in points):
+            raise DomainError(f"{label}: points must be a tuple of pairs (n, v), got {points!r}")
+        if type(dens) is not tuple:
+            raise DomainError(f"{label}: denominators must be a tuple, got {dens!r}")
+        require_ints(
+            label,
+            power=self.power,
+            min_n=self.min_n,
+            **{f"numerators[{i}][{j}]": c for i, num in enumerate(nums) for j, c in enumerate(num)},
+            **{f"denominators[{i}]": d for i, d in enumerate(dens)},
+            **{f"points[{i}][{j}]": v for i, point in enumerate(points) for j, v in enumerate(point)},
+        )
+        if self.power < 0 or self.min_n < 1:
+            raise DomainError(
+                f"{label}: needs power >= 0 and min_n >= 1, got {self.power} and {self.min_n}"
+            )
         terms = self.ansatz.terms
-        if not len(terms) == len(self.numerators) == len(self.denominators):
-            raise DomainError(f"{self.label}: one numerator and denominator per term")
-        for term, num, den in zip(terms, self.numerators, self.denominators):
+        if not len(terms) == len(nums) == len(dens):
+            raise DomainError(f"{label}: one numerator and denominator per term")
+        for term, num, den in zip(terms, nums, dens):
             if len(num) != term.degree + 1 or den < 1:
                 raise DomainError(
-                    f"{self.label}: {term.describe()} needs {term.degree + 1} numerator "
+                    f"{label}: {term.describe()} needs {term.degree + 1} numerator "
                     f"coefficients and a positive denominator, got {num} / {den}"
                 )
         coeffs, scale = _over_lcm(self.expected)
@@ -967,9 +998,10 @@ def c_even_first_form(t: int, n: int) -> Fraction:
 
     It equals ``even_moment_c`` (the second form), which verify checks.
     It stays a sum of Fraction products over ``sigma_row``, a reading
-    independent of the int sums above.
+    independent of the int sums above.  Like the second form it raises
+    PreconditionViolated at t = 0, outside the identity.
     """
-    _check_half_exponent("c_even_first_form", t, n)
+    _check_half_exponent("c_even_first_form", t, n, even=True)
     y = Fraction(2 * n - 1, 2)
     row = sigma_row(t, y)
     total = Fraction(0)

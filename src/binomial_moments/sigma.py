@@ -88,19 +88,17 @@ def sigma_row_ints(m: int, y: Scalar) -> tuple[tuple[int, ...], int]:
     step is an int product and no power of q appears inside the loop.
     """
     _check_args(m, 0, y=y)
-    return _sigma_row(m, y)
+    return _sigma_row(m, y.numerator, y.denominator)
 
 
 # sigma_row_ints and sigma_series check their arguments before the cache
 # sees them, so no warm entry answers True or 2.0 and an unhashable y
-# raises DomainError.  Both caches hold one row per (m, y), keyed
-# (m, y) for sigma_row and (m, p, q) with y = p/q in lowest terms for
-# sigma_series; 4096 rows sit above the peaks of flagship verify (862
-# sigma_series rows) and of the m <= 16, n <= 60 table (1080 sigma_row
-# rows).
+# raises DomainError.  Both caches hold one row per (m, y), keyed by one
+# rule: (m, p, q) with y = p/q in lowest terms.  4096 rows sit above the
+# peaks of flagship verify (862 sigma_series rows) and of the m <= 16,
+# n <= 60 table (1080 sigma_row rows).
 @lru_cache(maxsize=4096)
-def _sigma_row(m: int, y: Scalar) -> tuple[tuple[int, ...], int]:
-    p, q = y.numerator, y.denominator
+def _sigma_row(m: int, p: int, q: int) -> tuple[tuple[int, ...], int]:
     shifts = [(p - j * q) ** 2 for j in range(m + 1)]
     row = [1]  # S_{0,0}
     for k in range(1, m + 1):

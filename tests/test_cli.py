@@ -249,6 +249,28 @@ class TestVerify:
     def test_series_telescoping_is_pinned(self):
         assert verify.check_series_telescoping(verify.VerifyConfig()) == (90, None)
 
+    def test_sigma_poly_shape_samples_from_y_one_half(self, monkeypatch):
+        series = verify.sigma_series
+
+        def off_at_one_half(m, ell, y):
+            return series(m, ell, y) + (y == Fraction(1, 2))
+
+        monkeypatch.setattr(verify, "sigma_series", off_at_one_half)
+        config = verify.VerifyConfig(m_max=1)
+        assert verify.check_sigma_poly_shape(config) == (2, {"m": 0, "l": 0, "y": "1/2"})
+
+    def test_c_even_parity_shape_witness_value(self, monkeypatch):
+        # C_2(3) = -2, so (-1)^3 C_2(3) / (3 * 4) = 1/6; the sign flipped gives -1/6
+        oracle = verify.oracle
+
+        def flipped(q):
+            v = oracle(q)
+            return -v if (q.family, q.m, q.n) == ("C", 2, 3) else v
+
+        monkeypatch.setattr(verify, "oracle", flipped)
+        config = verify.VerifyConfig(m_max=2)
+        assert verify.check_c_even_parity_shape(config) == (2, {"t": 1, "n": 3, "value": "-1/6"})
+
     @pytest.mark.parametrize("k, cases, n, ell", [(1, 1, 1, 0), (7, 5, 1, 4), (17, 73, 9, 0)])
     def test_perturbed_factor_fails_telescoping(self, monkeypatch, k, cases, n, ell):
         """Factor j of the products at n has ratio (n - j - 1/2)^2.  Perturbing
@@ -364,7 +386,29 @@ class TestDiscover:
         assert err == "error: --max-degree and --max-roots bound only discover D even\n"
 
 
+def test_help_exits_0(capsys):
+    code, out, err = run(capsys, "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: moments")
+
+
 class TestTable:
+    def test_default_grid(self, capsys):
+        # the defaults are --m-max 8 --n-max 30
+        args = ("table", "--families", "A", "--methods", "oracle", "--format", "csv")
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 1 + 9 * 30
+        assert lines[-1] == "A,8,30,2864695767838009369559040"
+
+    def test_smallest_grid(self, capsys):
+        # m_max = 0 and n_max = 1 are the least bounds the table accepts
+        args = ("table", "--m-max", "0", "--n-max", "1", "--methods", "oracle", "--format", "csv")
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert out.splitlines() == ["family,m,n,value"] + [f"{f},0,1,1" for f in "ABCD"]
+
     def test_csv_values(self, capsys):
         code, out, _ = run(
             capsys, "table", "--families", "A", "--m-max", "4", "--n-max", "6", "--format", "csv"

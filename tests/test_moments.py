@@ -1,5 +1,6 @@
 import inspect
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -233,7 +234,74 @@ class TestOracle:
             )
 
 
+# closed_form's outcome for n = 1..4: the value, or the error type and its
+# exact message.  Every refusal but even D's is the form's own.
+PV, NC = PreconditionViolated, NoClosedFormKnown
+EVEN_AT_ZERO = (
+    "even-power closed forms require exponent >= 2 "
+    "(the k = 0 term of the symmetrised sum vanishes only then)"
+)
+EVEN_ZERO = (PV, EVEN_AT_ZERO)
+OPEN_D = (NC, "no closed form is known for even-power D moments; the case is open")
+CLOSED_FORM_OUTCOMES = {
+    ("A", 0): [EVEN_ZERO] * 4,
+    ("A", 1): [1, 6, 30, 140],
+    ("A", 2): [1, 8, 48, 256],
+    ("A", 3): [1, 12, 90, 560],
+    ("A", 4): [1, 20, 192, 1408],
+    ("A", 5): [1, 36, 450, 3920],
+    ("B", 0): [EVEN_ZERO] * 4,
+    ("B", 1): [1, 2, 6, 20],
+    ("B", 2): [1, 0, 0, 0],
+    ("B", 3): [1, -4, -6, -16],
+    ("B", 4): [1, -12, 0, 0],
+    ("B", 5): [1, -28, 66, 80],
+    ("C", 0): [EVEN_ZERO] * 4,
+    ("C", 1): [(PV, "odd C closed form requires n > 1, got n=1"), 5, 14, 54],
+    ("C", 2): [1, 3, -2, 2],
+    ("C", 3): [
+        (PV, "odd C closed form requires n > 2, got n=1"),
+        (PV, "odd C closed form requires n > 2, got n=2"),
+        -28,
+        -36,
+    ],
+    ("C", 4): [1, -9, -62, 62],
+    ("C", 5): [
+        (PV, "odd C closed form requires n > 3, got n=1"),
+        (PV, "odd C closed form requires n > 3, got n=2"),
+        (PV, "odd C closed form requires n > 3, got n=3"),
+        684,
+    ],
+    ("D", 0): [OPEN_D] * 4,
+    ("D", 1): [1, 9, 58, 322],
+    ("D", 2): [OPEN_D] * 4,
+    ("D", 3): [1, 15, 148, 1132],
+    ("D", 4): [OPEN_D] * 4,
+    ("D", 5): [1, 39, 628, 6892],
+}
+
+
 class TestClosedForm:
+    @pytest.mark.parametrize("family, m", sorted(CLOSED_FORM_OUTCOMES))
+    def test_outcomes_are_pinned(self, family, m):
+        got = []
+        for n in range(1, 5):
+            try:
+                got.append(closed_form(MomentQuery(family, m, n)).value)
+            except (PV, NC) as exc:
+                got.append((type(exc), str(exc)))
+        assert got == CLOSED_FORM_OUTCOMES[family, m]
+
+    @pytest.mark.parametrize(
+        "form", [even_moment_a, even_moment_b, even_moment_c, c_even_first_form]
+    )
+    @pytest.mark.parametrize("n", [1, 3, 40])
+    def test_even_forms_refuse_exponent_zero(self, form, n):
+        # before, even_moment_b(0, 3) returned 0 where B_0(3) = 10
+        with pytest.raises(PreconditionViolated) as info:
+            form(0, n)
+        assert (PV, str(info.value)) == EVEN_ZERO
+
     def test_examples(self):
         assert closed_form(MomentQuery("A", 4, 2)).value == 20
         assert closed_form(MomentQuery("B", 6, 5)).value == 0
@@ -332,6 +400,14 @@ class TestCorollaryValue:
         assert COROLLARIES[("C", 1)].latex() == (
             r"(-1)^n\frac{2n+1}{8(n-1)}+\genfrac{[}{]}{0pt}{}{2n}{n}\frac{2n-1}{8(n-1)}"
         )
+
+    @pytest.mark.parametrize(
+        "v, tail", [(1, r"+\tfrac{1}{2}\chi(n=1)"), (0, r"-\tfrac{1}{2}\chi(n=1)")]
+    )
+    def test_rendered_latex_of_a_point_a_fraction_off(self, v, tail):
+        # the ansatz gives 1/2 at n = 1, so the point differs by +-1/2
+        form = replace(COROLLARIES[("A", 2)], denominators=(2,), points=((1, v),))
+        assert form.latex() == r"2^{2n-2}\frac{n}{2}" + tail
 
     def test_whole_table_matches_oracle(self):
         for (family, m), entry in sorted(COROLLARIES.items()):
@@ -519,14 +595,21 @@ class TestRoutesAgree:
 
 
 # References for the seven closed forms: each theorem summed term by term
-# in Fraction arithmetic, over sigma_{t,l} from the series route.
+# in Fraction arithmetic, over sigma_{t,l} from the series route.  Each
+# refuses outside its identity, as the form it checks does.
 
 
 def fraction_row(t, y):
     return [sigma_series(t, ell, y) for ell in range(t + 1)]
 
 
+def even_guard(t):
+    if t == 0:
+        raise PreconditionViolated(EVEN_AT_ZERO)
+
+
 def even_a_reference(t, n):
+    even_guard(t)
     row = fraction_row(t, n)
     total = Fraction(0)
     for ell in range(t + 1):
@@ -543,6 +626,7 @@ def odd_a_reference(t, n):
 
 
 def even_b_reference(t, n):
+    even_guard(t)
     row = fraction_row(t, n)
     total = Fraction(0)
     for ell in range(t + 1):
@@ -564,6 +648,7 @@ def odd_b_reference(t, n):
 
 
 def even_c_reference(t, n, global_sign=True):
+    even_guard(t)
     row = fraction_row(t, F(2 * n - 1, 2))
     total = Fraction(0)
     for ell in range(t + 1):
@@ -636,11 +721,12 @@ class TestDiagonalBrackets:
         # n <= t steps past the diagonal's origin to negative upper indices
         for t in range(13):
             for n in range(1, 81):
-                ladder = moments._diagonal_brackets(n, t)
+                ladder = list(moments._diagonal_brackets(n, t))
                 assert len(ladder) == t + 1
-                for ell, (num, den) in enumerate(ladder):
+                for ell, (f, num, den) in enumerate(ladder):
                     expected = moments._bracket_ints(2 * n - 2 * ell, n - ell)
                     assert Fraction(num, den) == Fraction(*expected), (t, n, ell)
+                    assert f == math.prod(4 * n - 1 - 2 * i for i in range(2 * ell)), (t, n, ell)
 
     @given(t=st.integers(0, 12), n=st.integers(1, 300))
     @settings(max_examples=100, deadline=None)
